@@ -20,8 +20,8 @@ import (
 
 // Archive is the format-agnostic face of the package: one interface
 // over the decompressed stream of a gzip, BGZF, bzip2, LZ4 or zstd
-// file, served by whichever backend Open dispatched to. All methods
-// are safe for concurrent use.
+// file, whichever format Open detected. All methods are safe for
+// concurrent use.
 //
 // Every format persists an index: gzip/BGZF export seek points with
 // windows, bzip2/LZ4/zstd export their checkpoint tables — either way,
@@ -34,7 +34,7 @@ type Archive interface {
 	io.Closer
 
 	// Size returns the decompressed size, completing whatever scan the
-	// backend needs first.
+	// format needs first.
 	Size() (int64, error)
 	// DecompressedSize reports the decompressed size when it is already
 	// known without any decoding — always for bzip2/LZ4/zstd (the sizing
@@ -44,7 +44,7 @@ type Archive interface {
 	// must stay cheap (a server emitting Content-Length) branch on it
 	// instead of calling Size.
 	DecompressedSize() (size int64, ok bool)
-	// BuildIndex completes the backend's seek checkpoints for the whole
+	// BuildIndex completes the archive's seek checkpoints for the whole
 	// file, making every subsequent Seek/ReadAt constant-time where the
 	// format allows it.
 	BuildIndex() error
@@ -52,7 +52,7 @@ type Archive interface {
 	ExportIndex(w io.Writer) error
 	// ImportIndex installs a previously exported index.
 	ImportIndex(rd io.Reader) error
-	// Stats returns a snapshot of backend activity counters.
+	// Stats returns a snapshot of activity counters.
 	Stats() Stats
 	// Format reports the detected (or forced) container format.
 	Format() Format
@@ -65,7 +65,7 @@ type Archive interface {
 const IndexSuffix = ".rgzidx"
 
 // Open opens the compressed file at path behind one format-agnostic
-// front door: the content's magic bytes select the backend (gzip,
+// front door: the content's magic bytes select the format (gzip,
 // BGZF, bzip2, LZ4 or zstd — WithFormat overrides), and the returned
 // Archive serves parallel decompression and, where the format allows,
 // checkpointed random access. Content that matches no supported magic
@@ -98,21 +98,10 @@ func Open(path string, opts ...Option) (Archive, error) {
 		src.Close()
 		return nil, err
 	}
-	switch t := a.(type) {
-	case *Reader:
-		if t.fileBacked {
-			t.owned = src
-		} else {
-			// WithInMemory copied the data out; the file is done.
-			src.Close()
-		}
-	case *spanArchive:
-		if t.fileBacked {
-			t.owned = src
-		} else {
-			src.Close()
-		}
-	default:
+	if a.fileBacked {
+		a.owned = src
+	} else {
+		// WithInMemory copied the data out; the file is done.
 		src.Close()
 	}
 	return a, nil
@@ -129,9 +118,9 @@ func OpenBytes(data []byte, opts ...Option) (Archive, error) {
 	return openArchive(filereader.MemoryReader(data), "", cfg)
 }
 
-// openArchive dispatches src to a backend by sniffed or forced format.
+// openArchive opens src as an archive of the sniffed or forced format.
 // path is only used to locate a sibling index ("" disables discovery).
-func openArchive(src filereader.FileReader, path string, cfg config) (Archive, error) {
+func openArchive(src filereader.FileReader, path string, cfg config) (*archive, error) {
 	format := cfg.format
 	if format == FormatUnknown {
 		prefix := make([]byte, SniffLen)
@@ -146,9 +135,9 @@ func openArchive(src filereader.FileReader, path string, cfg config) (Archive, e
 			if rerr != nil && !errors.Is(rerr, io.EOF) {
 				return nil, fmt.Errorf("%w: sniffing input: %w", ErrSourceRead, rerr)
 			}
-			// Classify here, before any backend sees the data: an
-			// empty or undersized file must fail with the typed sniff
-			// error, not a short-read error from deeper in a decoder.
+			// Classify here, before any codec sees the data: an empty
+			// or undersized file must fail with the typed sniff error,
+			// not a short-read error from deeper in a decoder.
 			if n == 0 {
 				return nil, fmt.Errorf("%w: empty input", ErrUnsupportedFormat)
 			}
@@ -166,13 +155,45 @@ func openArchive(src filereader.FileReader, path string, cfg config) (Archive, e
 			src = filereader.MemoryReader(data)
 		}
 	}
-	switch format {
-	case FormatGzip, FormatBGZF:
-		return openIndexed(src, path, cfg, format)
-	case FormatBzip2, FormatLZ4, FormatZstd:
-		return newSpanArchive(src, format, cfg, path)
+	// Open-time setup (fingerprint, gzip header validation) reads the
+	// raw source before the counting wrapper goes on: SourceReads then
+	// reports engine traffic only, so a reopen from a persisted index
+	// performs zero counted reads before the first access.
+	fp, err := gzindex.ComputeFingerprint(src, src.Size())
+	if err != nil {
+		// Fingerprinting only reads bytes, so any failure is a source
+		// I/O problem (a directory opened as a file, a file that shrank
+		// under us) — never a format verdict.
+		return nil, fmt.Errorf("%w: fingerprinting input: %w", ErrSourceRead, err)
 	}
-	return nil, fmt.Errorf("%w: content matches no supported magic", ErrUnsupportedFormat)
+	_, mem := filereader.Bytes(src)
+	a := &archive{src: filereader.NewShared(src), fileBacked: !mem, format: format, fp: fp, cfg: cfg}
+	if format == FormatGzip || format == FormatBGZF {
+		if a.gz, err = core.NewGzip(src, core.Config{ChunkSize: cfg.chunkSize, VerifyChecksums: cfg.verify}); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.indexFile != "" {
+		// An explicit index must work; failure is the caller's answer.
+		if a.eng, err = a.engineFromIndexFile(cfg.indexFile); err != nil {
+			return nil, err
+		}
+		return a, nil
+	}
+	if !cfg.noDiscovery && path != "" {
+		if _, err := os.Stat(path + IndexSuffix); err == nil {
+			// A sibling index is an optimisation: import it when valid,
+			// fall back to a normal scan when stale, corrupt, or built
+			// for a different file.
+			if a.eng, err = a.engineFromIndexFile(path + IndexSuffix); err == nil {
+				return a, nil
+			}
+		}
+	}
+	if a.eng, err = a.newEngine(nil); err != nil {
+		return nil, sourceErr(err)
+	}
+	return a, nil
 }
 
 // sourceErr maps a filereader I/O failure to the public typed error.
@@ -187,310 +208,154 @@ func sourceErr(err error) error {
 }
 
 // closedErr maps the internal closed-state errors a read can surface —
-// the engine's own gate, the core's, or a pread on a file descriptor
-// that Close won the race for — onto the public ErrClosed, so a caller
-// racing Close against ReadAt gets one typed answer regardless of
-// which layer noticed first. Other errors pass through untouched.
+// the engine's own gate or a pread on a file descriptor that Close won
+// the race for — onto the public ErrClosed, so a caller racing Close
+// against ReadAt gets one typed answer regardless of which layer
+// noticed first. Other errors pass through untouched.
 func closedErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, spanengine.ErrClosed) || errors.Is(err, core.ErrClosed) || errors.Is(err, fs.ErrClosed) {
+	if errors.Is(err, spanengine.ErrClosed) || errors.Is(err, fs.ErrClosed) {
 		return fmt.Errorf("%w: %w", ErrClosed, err)
 	}
 	return err
 }
 
-// openIndexed builds the gzip/BGZF backend, importing an explicit or
-// discovered index when available.
-func openIndexed(src filereader.FileReader, path string, cfg config, format Format) (*Reader, error) {
-	coreCfg, err := cfg.coreConfig()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.indexFile != "" {
-		// An explicit index must work; failure is the caller's answer.
-		return importIndexReader(src, coreCfg, cfg.indexFile, format)
-	}
-	if !cfg.noDiscovery && path != "" {
-		if _, err := os.Stat(path + IndexSuffix); err == nil {
-			// A sibling index is an optimisation: import it when valid,
-			// fall back to a normal scan when stale, corrupt, or built
-			// for a different file.
-			if r, err := importIndexReader(src, coreCfg, path+IndexSuffix, format); err == nil {
-				return r, nil
-			}
-		}
-	}
-	pr, err := core.NewReader(src, coreCfg)
-	if err != nil {
-		// The core tags open-time read failures (fingerprint probe on a
-		// directory, a shrinking file) with filereader.ErrIO; surface
-		// those as the typed ErrSourceRead, like every other backend.
-		return nil, sourceErr(err)
-	}
-	_, mem := filereader.Bytes(src)
-	return &Reader{pr: pr, format: format, fileBacked: !mem}, nil
-}
-
-// importIndexReader constructs a reader destined for an immediate index
-// import: the eager BGZF member-metadata scan is skipped, because the
-// imported table would replace its result anyway — for a BGZF file
-// with millions of members that scan is the exact startup cost
-// importing an index exists to avoid.
-func importIndexReader(src filereader.FileReader, coreCfg core.Config, indexPath string, format Format) (*Reader, error) {
-	ixf, err := os.Open(indexPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ixf.Close()
-	coreCfg.SkipMetadataScan = true
-	pr, err := core.NewReader(src, coreCfg)
-	if err != nil {
-		return nil, sourceErr(err)
-	}
-	_, mem := filereader.Bytes(src)
-	r := &Reader{pr: pr, format: format, fileBacked: !mem}
-	// The file holds nothing but the index, so buffering is safe and
-	// spares the varint-level deserializer per-byte file reads.
-	if err := r.ImportIndex(bufio.NewReader(ixf)); err != nil {
-		pr.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// --- span-engine backends (bzip2, LZ4, zstd) -----------------------------
-
-// spanBackend is the contract of the span-engine-backed readers
-// (bzip2x.Reader, lz4x.Reader, zstdx.Reader): concurrent positional
-// reads over the decompressed stream, a size known after construction,
-// the checkpoint table exposed as ordered chunks, and access to the
-// engine for stats and checkpoint export.
-type spanBackend interface {
-	io.ReaderAt
-	io.Closer
-	Size() int64
-	NumChunks() int
-	ChunkExtent(i int) (off, size int64)
-	ChunkContent(i int) ([]byte, error)
-	Engine() *spanengine.Engine
-}
-
-// spanArchive adapts a spanBackend to the Archive interface: it adds
-// the sequential cursor (Read/Seek/WriteTo) and the checkpoint-table
-// index methods (ExportIndex/ImportIndex over the RGZIDX04 container).
-// One archive serves either backing — a resident buffer (OpenBytes,
-// WithInMemory) or an open file, in which case the compressed bytes
-// are never whole in memory: every decode preads only its span's
-// extent.
-type spanArchive struct {
-	src        filereader.FileReader // compressed source (file- or memory-backed)
-	fileBacked bool
-	owned      io.Closer // underlying file, closed with the archive (Open only)
+// archive is the one Archive implementation: a cursor and an index
+// lifecycle over a span engine. Formats differ only in how the engine
+// is built (newEngine), in what an exported index carries beyond the
+// checkpoint table (the gzip seek points and windows), in their
+// Capabilities, and in the gzip pipeline counters.
+type archive struct {
+	src        *filereader.SharedFileReader // compressed source; every engine counts its traffic here
+	owned      io.Closer                    // the file Open opened, closed after the engines
+	fileBacked bool                         // false when the source is a resident buffer
 	format     Format
-	cfg        config // retained to rebuild the backend on ImportIndex (keeps the shared pool)
+	fp         gzindex.Fingerprint // source fingerprint, checked on import and written on export
+	cfg        config              // kept to build engines for imports (keeps the shared pool)
+	gz         *core.Gzip          // gzip/BGZF codec state; nil for the other formats
 
-	mu   sync.Mutex
-	back spanBackend
-	// retired holds backends replaced by ImportIndex. They stay open
-	// until Close so a concurrent ReadAt that snapshotted one mid-swap
+	cursor sync.Mutex // serialises Read, Seek and WriteTo
+	pos    int64
+
+	mu  sync.Mutex
+	eng *spanengine.Engine
+	// retired holds engines replaced by ImportIndex. They stay open
+	// until Close, so a caller that took one just before the swap
 	// finishes against it instead of hitting a closed engine.
-	retired []spanBackend
-	caps    Capabilities
-	pos     int64
+	retired []*spanengine.Engine
+	closed  bool
 }
 
-// formatTag returns the checkpoint-table tag of a span-engine format.
-func formatTag(format Format) string {
-	switch format {
-	case FormatBzip2:
-		return bzip2x.FormatTag
-	case FormatLZ4:
-		return lz4x.FormatTag
-	case FormatZstd:
-		return zstdx.FormatTag
-	}
-	return ""
+// current returns the engine serving new calls. Callers use it without
+// holding a lock: a replaced engine stays open until Close.
+func (a *archive) current() *spanengine.Engine {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.eng
 }
 
-// newSpanArchive constructs the backend over src (file- or memory-
-// backed), importing an explicit or discovered checkpoint-table index
-// when available (mirroring openIndexed's behavior for gzip: an
-// explicit index must work, a discovered one falls back to a scan).
-func newSpanArchive(src filereader.FileReader, format Format, cfg config, path string) (Archive, error) {
-	if cfg.indexFile != "" {
-		return spanArchiveFromIndexFile(src, format, cfg, cfg.indexFile)
-	}
-	if !cfg.noDiscovery && path != "" {
-		if _, err := os.Stat(path + IndexSuffix); err == nil {
-			if a, err := spanArchiveFromIndexFile(src, format, cfg, path+IndexSuffix); err == nil {
-				return a, nil
-			}
+// newEngine builds an engine over the source: from ix when non-nil
+// (checked by engineFromIndex), skipping the scan, otherwise by the
+// format's sizing pass (gzip: a growing table; BGZF: the
+// member-metadata walk).
+func (a *archive) newEngine(ix *gzindex.Index) (*spanengine.Engine, error) {
+	cfg := a.cfg.engine()
+	if a.gz != nil {
+		if ix != nil {
+			return a.gz.EngineFromIndex(a.src, ix, cfg)
 		}
+		return a.gz.NewEngine(a.src, cfg)
 	}
-	engCfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	back, caps, err := scanSpanBackend(src, format, engCfg)
-	if err != nil {
-		return nil, sourceErr(err)
-	}
-	return finishSpanArchive(src, format, cfg, back, caps), nil
-}
-
-// finishSpanArchive wraps a constructed backend in the Archive shell.
-func finishSpanArchive(src filereader.FileReader, format Format, cfg config, back spanBackend, caps Capabilities) *spanArchive {
-	_, mem := filereader.Bytes(src)
-	return &spanArchive{src: src, fileBacked: !mem, format: format, cfg: cfg, back: back, caps: caps}
-}
-
-// spanArchiveFromIndexFile opens the index at indexPath and builds the
-// backend from its checkpoint table — zero sizing-pass decodes, and
-// for a file-backed source zero reads of the compressed file beyond
-// the fingerprint probe.
-func spanArchiveFromIndexFile(src filereader.FileReader, format Format, cfg config, indexPath string) (Archive, error) {
-	ixf, err := os.Open(indexPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ixf.Close()
-	ix, err := gzindex.Read(bufio.NewReader(ixf))
-	if err != nil {
-		return nil, err
-	}
-	engCfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	back, caps, err := spanBackendFromIndex(src, format, ix, engCfg)
-	if err != nil {
-		return nil, sourceErr(err)
-	}
-	return finishSpanArchive(src, format, cfg, back, caps), nil
-}
-
-// scanSpanBackend runs the format's sizing pass and reports the
-// archive's truthful capabilities.
-func scanSpanBackend(src filereader.FileReader, format Format, engCfg spanengine.Config) (spanBackend, Capabilities, error) {
-	switch format {
-	case FormatBzip2:
-		br, err := bzip2x.NewReaderConfig(src, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		// The stdlib bzip2 decoder verifies block CRCs on every decode,
-		// so Verify holds unconditionally.
-		return br, memCaps(br.NumStreams() > 1, true), nil
-	case FormatLZ4:
-		lr, err := lz4x.NewReaderConfig(src, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		return lr, memCaps(lr.NumFrames() > 1, lr.Checksummed()), nil
-	case FormatZstd:
-		zr, err := zstdx.NewReaderConfig(src, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		// Parallelism and metadata-only random access need the frame
-		// table complete without decodes: multiple frames, each
-		// declaring its content size. Unsized files were sized by a
-		// sequential decode on open and stay honest about it (an index
-		// import lifts the demotion — the table is metadata then).
-		return zr, memCaps(zr.NumFrames() > 1 && zr.Sized(), zr.Checksummed()), nil
-	}
-	return nil, Capabilities{}, fmt.Errorf("%w: %v has no span-engine backend", ErrUnsupportedFormat, format)
-}
-
-// spanBackendFromIndex validates an imported index against the open
-// source and builds the backend from its checkpoint table, skipping
-// the sizing pass entirely.
-func spanBackendFromIndex(src filereader.FileReader, format Format, ix *gzindex.Index, engCfg spanengine.Config) (spanBackend, Capabilities, error) {
-	if !ix.Finalized {
-		return nil, Capabilities{}, errors.New("rapidgzip: can only import finalized indexes")
+	codec := a.spanCodec(cfg.Threads)
+	if ix == nil {
+		return spanengine.New(a.src, codec, cfg)
 	}
 	ct := ix.Checkpoints
-	if ct == nil {
-		return nil, Capabilities{}, fmt.Errorf("%w: index carries no checkpoint table for %v", ErrNoIndexSupport, format)
-	}
-	if want := formatTag(format); ct.Format != want {
-		return nil, Capabilities{}, fmt.Errorf("rapidgzip: index checkpoint table is for format %q, want %q", ct.Format, want)
-	}
-	if ix.CompressedSize != uint64(src.Size()) {
-		return nil, Capabilities{}, fmt.Errorf("rapidgzip: index is for a %d-byte file, have %d bytes",
-			ix.CompressedSize, src.Size())
-	}
-	if ix.SourceFP != nil {
-		// The probe reads 4 KiB at each end of the file — the whole
-		// point of the import is that nothing else is read.
-		fp, err := gzindex.ComputeFingerprint(src, src.Size())
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		if *ix.SourceFP != fp {
-			return nil, Capabilities{}, fmt.Errorf("rapidgzip: index fingerprint %08x/%08x does not match the open file's %08x/%08x (index built for a different file of the same size)",
-				ix.SourceFP.Head, ix.SourceFP.Tail, fp.Head, fp.Tail)
-		}
-	}
 	spans := make([]spanengine.Span, len(ct.Spans))
 	for i, s := range ct.Spans {
 		spans[i] = spanengine.Span{CompOff: s.CompOff, CompEnd: s.CompEnd, DecompOff: s.DecompOff, DecompSize: s.DecompSize}
 	}
-	multi := len(spans) > 1
-	switch format {
+	return spanengine.NewFromCheckpoints(a.src, codec, spans, ct.Flags, cfg)
+}
+
+// spanCodec returns the codec of a bzip2, LZ4 or zstd archive; threads
+// parallelizes the bzip2 sizing pass.
+func (a *archive) spanCodec(threads int) spanengine.Codec {
+	switch a.format {
 	case FormatBzip2:
-		br, err := bzip2x.NewReaderFromCheckpoints(src, spans, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		return br, memCaps(multi, true), nil
+		return bzip2x.Codec{Threads: threads}
 	case FormatLZ4:
-		lr, err := lz4x.NewReaderFromCheckpoints(src, spans, ct.Flags, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		return lr, memCaps(multi, lr.Checksummed()), nil
-	case FormatZstd:
-		zr, err := zstdx.NewReaderFromCheckpoints(src, spans, ct.Flags, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		// The imported table carries every extent, so even a file whose
-		// frame headers omitted content sizes is parallel and randomly
-		// accessible now.
-		return zr, memCaps(multi, zr.Checksummed()), nil
+		return lz4x.Codec{}
 	}
-	return nil, Capabilities{}, fmt.Errorf("%w: %v has no span-engine backend", ErrUnsupportedFormat, format)
+	return zstdx.Codec{}
 }
 
-// memCaps is the capability profile of a span-engine archive: Seek and
-// Index always work; random access, parallel decode and prefetching
-// need more than one span.
-func memCaps(multi, verify bool) Capabilities {
-	return Capabilities{Seek: true, Index: true, RandomAccess: multi, Parallel: multi, Prefetch: multi, Verify: verify}
+// engineFromIndex checks that ix fits the format and was exported for
+// this source, and builds an engine from it.
+func (a *archive) engineFromIndex(ix *gzindex.Index) (*spanengine.Engine, error) {
+	if a.gz == nil {
+		ct := ix.Checkpoints
+		if ct == nil {
+			return nil, fmt.Errorf("%w: index carries no checkpoint table for %v", ErrNoIndexSupport, a.format)
+		}
+		if tag := a.spanCodec(0).FormatTag(); ct.Format != tag {
+			return nil, fmt.Errorf("rapidgzip: index checkpoint table is for format %q, want %q", ct.Format, tag)
+		}
+	}
+	if err := ix.CheckSource(a.src.Size(), a.fp); err != nil {
+		return nil, err
+	}
+	eng, err := a.newEngine(ix)
+	return eng, sourceErr(err)
 }
 
-func (a *spanArchive) Read(p []byte) (int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n, err := a.back.ReadAt(p, a.pos)
+// engineFromIndexFile reads the index at path and builds an engine
+// from it.
+func (a *archive) engineFromIndexFile(path string) (*spanengine.Engine, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	// The file holds nothing but the index, so buffering is safe and
+	// spares the varint-level deserializer per-byte file reads.
+	ix, err := gzindex.Read(bufio.NewReader(f))
+	if err != nil {
+		return nil, err
+	}
+	return a.engineFromIndex(ix)
+}
+
+// Read implements io.Reader on the decompressed stream. It returns
+// io.EOF only with n == 0, on the call after the last byte.
+func (a *archive) Read(p []byte) (int, error) {
+	a.cursor.Lock()
+	defer a.cursor.Unlock()
+	n, err := a.current().ReadAt(p, a.pos)
 	a.pos += int64(n)
+	if n > 0 && err == io.EOF {
+		err = nil
+	}
 	return n, closedErr(err)
 }
 
-func (a *spanArchive) Seek(offset int64, whence int) (int64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// Seek implements io.Seeker on the decompressed stream. Seeking only
+// moves the cursor; decompression happens on the next Read.
+// io.SeekEnd completes the span table first: the decompressed size of
+// a gzip file is only known after scanning it.
+func (a *archive) Seek(offset int64, whence int) (int64, error) {
+	a.cursor.Lock()
+	defer a.cursor.Unlock()
 	var base int64
 	switch whence {
 	case io.SeekStart:
-		base = 0
 	case io.SeekCurrent:
 		base = a.pos
 	case io.SeekEnd:
-		base = a.back.Size()
+		size, err := a.current().TotalSize()
+		if err != nil {
+			return 0, closedErr(err)
+		}
+		base = size
 	default:
 		return 0, fmt.Errorf("rapidgzip: bad whence %d", whence)
 	}
@@ -502,169 +367,223 @@ func (a *spanArchive) Seek(offset int64, whence int) (int64, error) {
 	return target, nil
 }
 
-func (a *spanArchive) ReadAt(p []byte, off int64) (int, error) {
-	a.mu.Lock()
-	back := a.back
-	a.mu.Unlock()
-	n, err := back.ReadAt(p, off)
+// ReadAt implements io.ReaderAt without disturbing the Read cursor.
+// Concurrent ReadAt calls share the engine's span cache — the access
+// pattern of a mounted TAR archive.
+func (a *archive) ReadAt(p []byte, off int64) (int, error) {
+	n, err := a.current().ReadAt(p, off)
 	return n, closedErr(err)
 }
 
-// WriteTo streams the remaining decompressed bytes in span order — the
-// sequential fast path io.Copy hits. Parallelism comes from the span
-// engine itself: each ChunkContent access feeds the prefetch strategy,
-// so upcoming spans decode on the worker pool while earlier ones are
-// written.
-func (a *spanArchive) WriteTo(w io.Writer) (int64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.fileBacked {
-		// The whole remaining compressed tail is about to be preaded in
-		// span order; tell the kernel so readahead widens.
-		filereader.AdviseSequential(a.src, 0, a.src.Size())
-	}
-	n := a.back.NumChunks()
+// WriteTo implements io.WriterTo: the fast path io.Copy takes for
+// whole-file decompression. It streams span contents in order from the
+// cursor, growing the gzip span table as it goes; each access feeds
+// the prefetch strategy, so upcoming spans decode on the worker pool
+// while earlier ones are written.
+func (a *archive) WriteTo(w io.Writer) (int64, error) {
+	a.cursor.Lock()
+	defer a.cursor.Unlock()
+	a.AdviseSequentialRead()
+	eng := a.current()
 	var written int64
-	for i := 0; i < n; i++ {
-		off, size := a.back.ChunkExtent(i)
-		if size <= 0 || off+size <= a.pos {
-			continue
+	for {
+		i, err := eng.SpanAt(a.pos)
+		if err == io.EOF {
+			return written, nil
 		}
-		seg, err := a.back.ChunkContent(i)
 		if err != nil {
 			return written, closedErr(err)
 		}
-		if skip := a.pos - off; skip > 0 {
-			seg = seg[skip:]
+		data, err := eng.SpanContent(i)
+		if err != nil {
+			return written, closedErr(err)
 		}
-		m, err := w.Write(seg)
-		written += int64(m)
-		a.pos += int64(m)
+		off, _ := eng.SpanExtent(i)
+		n, err := w.Write(data[a.pos-off:])
+		written += int64(n)
+		a.pos += int64(n)
 		if err != nil {
 			return written, err
 		}
 	}
-	return written, nil
 }
 
-// Size returns the decompressed size, known since construction.
-func (a *spanArchive) Size() (int64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.back.Size(), nil
+// Size returns the decompressed size, completing the span table first
+// if it is still growing.
+func (a *archive) Size() (int64, error) {
+	size, err := a.current().TotalSize()
+	return size, closedErr(err)
 }
 
-// DecompressedSize implements Archive; span backends size the stream
-// at construction, so the answer is always free.
-func (a *spanArchive) DecompressedSize() (int64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.back.Size(), true
+// DecompressedSize implements Archive: the size is free once the span
+// table is complete — always for bzip2/LZ4/zstd/BGZF, for gzip after an
+// index import or a finished first pass.
+func (a *archive) DecompressedSize() (int64, bool) {
+	eng := a.current()
+	if !eng.Complete() {
+		return 0, false
+	}
+	return eng.Size(), true
 }
 
 // AdviseSequentialRead hints the OS that the compressed file is about
-// to be read front to back (a whole-archive streaming GET). No-op for
-// memory-backed archives and platforms without posix_fadvise.
-func (a *spanArchive) AdviseSequentialRead() {
+// to be read front to back. No-op for memory-backed archives and
+// platforms without posix_fadvise.
+func (a *archive) AdviseSequentialRead() {
 	if a.fileBacked {
 		filereader.AdviseSequential(a.src, 0, a.src.Size())
 	}
 }
 
-// BuildIndex is a no-op: the checkpoint table (stream spans, frame
-// table) is fully built at construction for these backends.
-func (a *spanArchive) BuildIndex() error { return nil }
+// BuildIndex completes the span table for the whole file, making every
+// subsequent Seek/ReadAt constant-time where the format allows it.
+func (a *archive) BuildIndex() error { return closedErr(a.current().EnsureComplete()) }
 
-// ExportIndex serialises the checkpoint table as an RGZIDX04 index. A
-// later Open of the same file with the index (explicit, or discovered
-// as a sibling) skips the sizing pass entirely.
-func (a *spanArchive) ExportIndex(w io.Writer) error {
-	a.mu.Lock()
-	eng := a.back.Engine()
-	a.mu.Unlock()
-	fp, err := gzindex.ComputeFingerprint(a.src, a.src.Size())
-	if err != nil {
-		return sourceErr(err)
+// ExportIndex serialises the index: the engine's checkpoint table, plus
+// the seek points and windows for gzip/BGZF. A later open with the
+// index (explicit, or discovered as a sibling) skips the initial scan
+// or sizing pass entirely.
+func (a *archive) ExportIndex(w io.Writer) error {
+	eng := a.current()
+	if err := eng.EnsureComplete(); err != nil {
+		return closedErr(err)
 	}
-	ix := gzindex.New(0)
+	ix := *gzindex.New(0)
+	if a.gz != nil {
+		ix = *a.gz.Index(eng)
+	}
 	ix.Finalized = true
 	ix.CompressedSize = uint64(a.src.Size())
 	ix.UncompressedSize = uint64(eng.Size())
-	ix.SourceFP = &fp
+	ix.SourceFP = &a.fp
 	spans := eng.Checkpoints()
-	ct := &gzindex.CheckpointTable{Format: formatTag(a.format), Flags: eng.Flags()}
+	ct := &gzindex.CheckpointTable{Format: eng.Codec().FormatTag(), Flags: eng.Flags()}
 	ct.Spans = make([]gzindex.Checkpoint, len(spans))
 	for i, s := range spans {
 		ct.Spans[i] = gzindex.Checkpoint{CompOff: s.CompOff, CompEnd: s.CompEnd, DecompOff: s.DecompOff, DecompSize: s.DecompSize}
 	}
 	ix.Checkpoints = ct
-	_, err = ix.WriteTo(w)
+	_, err := ix.WriteTo(w)
 	return err
 }
 
-// ImportIndex installs a previously exported checkpoint-table index,
-// replacing the backend with one built from the persisted spans. The
-// index must belong to the same compressed data (format tag,
-// compressed size and source fingerprint are all enforced).
-func (a *spanArchive) ImportIndex(rd io.Reader) error {
+// ImportIndex installs an index previously written by ExportIndex,
+// replacing the engine with one built from the index; exactly the
+// index bytes are consumed from rd. The index must belong to the same
+// compressed data (format tag, compressed size and source fingerprint
+// are all enforced). Calls in flight finish on the replaced engine.
+func (a *archive) ImportIndex(rd io.Reader) error {
 	ix, err := gzindex.Read(rd)
 	if err != nil {
 		return err
 	}
-	engCfg, err := a.cfg.engineConfig()
+	eng, err := a.engineFromIndex(ix)
 	if err != nil {
 		return err
 	}
-	back, caps, err := spanBackendFromIndex(a.src, a.format, ix, engCfg)
-	if err != nil {
-		return sourceErr(err)
-	}
 	a.mu.Lock()
-	a.retired = append(a.retired, a.back)
-	a.back = back
-	a.caps = caps
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	if a.closed {
+		eng.Close()
+		return ErrClosed
+	}
+	a.retired = append(a.retired, a.eng)
+	a.eng = eng
 	return nil
 }
 
-// Stats reports the span engine's counters.
-func (a *spanArchive) Stats() Stats {
-	a.mu.Lock()
-	eng := a.back.Engine()
-	a.mu.Unlock()
-	return engineStats(eng.Stats())
+// Stats returns a snapshot of the current engine's counters plus, for
+// gzip/BGZF, the chunk-pipeline counters of the archive's lifetime.
+func (a *archive) Stats() Stats {
+	e := a.current().Stats()
+	s := Stats{
+		SizingPasses:       e.SizingPasses,
+		SizingDecodes:      e.SizingDecodes,
+		SpanDecodes:        e.SpanDecodes,
+		PrefetchProposed:   e.PrefetchProposed,
+		PrefetchIssued:     e.PrefetchIssued,
+		PrefetchJoined:     e.PrefetchJoined,
+		SpanCacheHits:      e.CacheHits,
+		SpanCacheMisses:    e.CacheMisses,
+		SpanCacheEvictions: e.Evictions,
+		SourceReads:        e.SourceReads,
+		SourceBytesRead:    e.SourceBytesRead,
+	}
+	if a.gz != nil {
+		g := a.gz.Stats()
+		s.GuessTasks = g.GuessTasks
+		s.GuessNoBlock = g.GuessNoBlock
+		s.GuessFalseStarts = g.GuessFalseStarts
+		s.FinderProbes = g.FinderProbes
+		s.OnDemandDecodes = g.OnDemandDecodes
+		s.IndexedDecodes = g.IndexedDecodes
+		s.ChunksConsumed = g.ChunksConsumed
+		s.CRCFailures = g.CRCFailures
+	}
+	return s
 }
 
-func (a *spanArchive) Close() error {
+// CRCVerified reports whether checksum verification is still intact
+// and how many mismatches were seen. For gzip/BGZF (with WithVerify)
+// it returns (false, n) once a member CRC32 mismatched, and (false, 0)
+// once consumption left sequential order (verification is then
+// skipped, not failed). bzip2, LZ4 and zstd verify during every decode
+// and fail the read on a mismatch, so they report (true, 0); whether
+// the file carries checksums at all is Capabilities().Verify.
+func (a *archive) CRCVerified() (bool, uint64) {
+	if a.gz == nil {
+		return true, 0
+	}
+	return a.gz.CRCStatus(a.current())
+}
+
+// Close releases the engines' worker pools and then the file, for
+// archives from Open. Calls still in flight fail with ErrClosed; a
+// second Close returns an error matching ErrClosed.
+func (a *archive) Close() error {
 	a.mu.Lock()
-	backs := append([]spanBackend{a.back}, a.retired...)
+	if a.closed {
+		a.mu.Unlock()
+		return fmt.Errorf("%w: Close called twice", ErrClosed)
+	}
+	a.closed = true
+	engs := append(a.retired, a.eng)
 	a.retired = nil
 	a.mu.Unlock()
-	var err error
-	for _, b := range backs {
-		if cerr := b.Close(); err == nil {
-			err = cerr
-		}
+	for _, e := range engs {
+		e.Close()
 	}
-	// The compressed file outlives every backend engine (in-flight
-	// decodes finished above), so it closes last.
+	// The compressed file outlives every engine, so it closes last.
 	if a.owned != nil {
-		if cerr := a.owned.Close(); err == nil {
-			err = cerr
-		}
+		return a.owned.Close()
 	}
-	return err
+	return nil
 }
 
-func (a *spanArchive) Format() Format { return a.format }
+// Format reports the detected (or forced) container format.
+func (a *archive) Format() Format { return a.format }
 
-func (a *spanArchive) Capabilities() Capabilities {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.caps
+// Capabilities reports what the archive can do. gzip/BGZF can do
+// everything. The other formats seek and index always; random access,
+// parallel decode and prefetching need more than one span, and for
+// zstd a table that came from metadata: an unsized file was sized by a
+// sequential decode on open (an index import lifts that demotion —
+// the table is metadata then).
+func (a *archive) Capabilities() Capabilities {
+	if a.gz != nil {
+		return Capabilities{Seek: true, RandomAccess: true, Parallel: true, Index: true, Verify: true, Prefetch: true}
+	}
+	eng := a.current()
+	multi := eng.NumSpans() > 1
+	verify := true // the bzip2 decoder checks block CRCs on every decode
+	switch a.format {
+	case FormatLZ4:
+		verify = eng.Flags()&lz4x.FlagChecksummed != 0
+	case FormatZstd:
+		verify = eng.Flags()&zstdx.FlagChecksummed != 0
+		multi = multi && (eng.Flags()&zstdx.FlagMetadataSized != 0 || eng.Stats().SizingPasses == 0)
+	}
+	return Capabilities{Seek: true, Index: true, RandomAccess: multi, Parallel: multi, Prefetch: multi, Verify: verify}
 }
 
-var (
-	_ Archive = (*Reader)(nil)
-	_ Archive = (*spanArchive)(nil)
-)
+var _ Archive = (*archive)(nil)

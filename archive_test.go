@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bzip2x"
@@ -227,11 +229,8 @@ func TestStrategyValidation(t *testing.T) {
 	if _, err := OpenBytes(data, WithStrategy("multistrem")); err == nil {
 		t.Fatal("WithStrategy accepted a typo")
 	}
-	if _, err := NewBytesReader(data, Options{Strategy: "multistrem"}); err == nil {
-		t.Fatal("legacy Options accepted a typo strategy")
-	}
 	for _, ok := range []string{"", "adaptive", "fixed", "multistream"} {
-		r, err := NewBytesReader(data, Options{Strategy: ok})
+		r, err := OpenBytes(data, WithStrategy(ok))
 		if err != nil {
 			t.Fatalf("strategy %q rejected: %v", ok, err)
 		}
@@ -539,5 +538,120 @@ func TestTarFSOverNonGzipArchive(t *testing.T) {
 	}
 	if len(entries) == 0 {
 		t.Fatal("no entries in tar.bz2 filesystem")
+	}
+}
+
+// TestImportIndexVsReadAt re-imports an archive's own index while
+// concurrent ReadAt callers keep reading: every read must succeed
+// byte-exact, because the engine an import replaces stays open until
+// Close for the callers still holding it.
+func TestImportIndexVsReadAt(t *testing.T) {
+	data := workloads.Base64(400_000, 61)
+	for format, comp := range fixtureSet(t, data) {
+		t.Run(format.String(), func(t *testing.T) {
+			a, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			var ix bytes.Buffer
+			if err := a.ExportIndex(&ix); err != nil {
+				t.Fatal(err)
+			}
+
+			const readers = 4
+			done := make(chan struct{})
+			var reads atomic.Int64
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					buf := make([]byte, 4096)
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						off := rng.Intn(len(data) - len(buf))
+						if _, err := a.ReadAt(buf, int64(off)); err != nil {
+							t.Errorf("ReadAt(%d): %v", off, err)
+							return
+						}
+						if !bytes.Equal(buf, data[off:off+len(buf)]) {
+							t.Errorf("ReadAt(%d): wrong bytes", off)
+							return
+						}
+						reads.Add(1)
+					}
+				}(r)
+			}
+			for i := 0; i < 30; i++ {
+				// Let the readers get reads in flight on the current
+				// engine before replacing it.
+				for n := reads.Load() + readers; reads.Load() < n && !t.Failed(); {
+					runtime.Gosched()
+				}
+				if err := a.ImportIndex(bytes.NewReader(ix.Bytes())); err != nil {
+					t.Errorf("import %d: %v", i, err)
+					break
+				}
+			}
+			close(done)
+			wg.Wait()
+		})
+	}
+}
+
+// TestCloseTwiceIsErrClosed: the second Close of an archive reports
+// ErrClosed for every format, instead of the file's own error.
+func TestCloseTwiceIsErrClosed(t *testing.T) {
+	data := workloads.Base64(100_000, 62)
+	dir := t.TempDir()
+	for format, comp := range fixtureSet(t, data) {
+		t.Run(format.String(), func(t *testing.T) {
+			path := filepath.Join(dir, "data."+format.String())
+			if err := os.WriteFile(path, comp, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			a, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatalf("first Close: %v", err)
+			}
+			if err := a.Close(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("second Close = %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestReadEOFContract pins one Read contract for every format: the
+// Read that returns the last bytes returns a nil error, and io.EOF
+// comes alone on the next call.
+func TestReadEOFContract(t *testing.T) {
+	data := workloads.Base64(200_000, 63)
+	for format, comp := range fixtureSet(t, data) {
+		t.Run(format.String(), func(t *testing.T) {
+			a, err := OpenBytes(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if _, err := a.Seek(-100, io.SeekEnd); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 200)
+			if n, err := a.Read(buf); n != 100 || err != nil {
+				t.Fatalf("last Read = (%d, %v), want (100, nil)", n, err)
+			}
+			if n, err := a.Read(buf); n != 0 || err != io.EOF {
+				t.Fatalf("Read at EOF = (%d, %v), want (0, io.EOF)", n, err)
+			}
+		})
 	}
 }

@@ -70,7 +70,7 @@ func (f *fixture) indexFor(b *testing.B, p int) []byte {
 	if idx, ok := f.idx[p]; ok {
 		return idx
 	}
-	r, err := NewBytesReader(f.comp, Options{ChunkSize: scaledChunk(len(f.comp), p)})
+	r, err := OpenBytes(f.comp, WithChunkSize(scaledChunk(len(f.comp), p)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,22 +97,25 @@ func scaledChunk(compLen, p int) int {
 	return cs
 }
 
-func benchDecompress(b *testing.B, f *fixture, opts Options, withIndex bool) {
+// benchDecompress measures OpenBytes→io.Copy of f at parallelism p
+// (0 = all cores) and chunk size cs (0 = scaled to p), optionally
+// after importing the fixture's index.
+func benchDecompress(b *testing.B, f *fixture, p, cs int, withIndex bool) {
 	b.Helper()
-	if opts.Parallelism == 0 {
-		opts.Parallelism = runtime.NumCPU()
+	if p == 0 {
+		p = runtime.NumCPU()
 	}
-	if opts.ChunkSize == 0 {
-		opts.ChunkSize = scaledChunk(len(f.comp), opts.Parallelism)
+	if cs == 0 {
+		cs = scaledChunk(len(f.comp), p)
 	}
 	var idx []byte
 	if withIndex {
-		idx = f.indexFor(b, opts.Parallelism)
+		idx = f.indexFor(b, p)
 	}
 	b.SetBytes(int64(len(f.raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewBytesReader(f.comp, opts)
+		r, err := OpenBytes(f.comp, WithParallelism(p), WithChunkSize(cs))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,10 +246,10 @@ func benchScaling(b *testing.B, name string, gen func(int, uint64) []byte, pugzO
 	for _, p := range corePoints() {
 		f := getFixture(b, name, gen, 32<<20, "pigz -6")
 		b.Run(byName("rapidgzip/P", p), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p}, false)
+			benchDecompress(b, f, p, 0, false)
 		})
 		b.Run(byName("rapidgzip-index/P", p), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p}, true)
+			benchDecompress(b, f, p, 0, true)
 		})
 		if pugzOK {
 			b.Run(byName("pugz-sync/P", p), func(b *testing.B) {
@@ -291,7 +294,7 @@ func BenchmarkFig12ChunkSize(b *testing.B) {
 	}
 	for _, cs := range []int{256 << 10, 1 << 20, 4 << 20, 16 << 20} {
 		b.Run(fmtChunk(cs), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p, ChunkSize: cs}, false)
+			benchDecompress(b, f, p, cs, false)
 		})
 	}
 }
@@ -303,7 +306,7 @@ func BenchmarkTable3Compressors(b *testing.B) {
 	for _, preset := range []string{"gzip -6", "pigz -6", "bgzip -l 6", "bgzip -l 0", "igzip -1", "igzip -0"} {
 		f := getFixture(b, "t3-"+preset, workloads.SilesiaLike, 24<<20, preset)
 		b.Run(sanitize(preset), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p}, false)
+			benchDecompress(b, f, p, 0, false)
 		})
 	}
 }
@@ -315,35 +318,25 @@ func BenchmarkTable4Formats(b *testing.B) {
 	p := runtime.NumCPU()
 
 	gz := getFixture(b, "t4-gzip", workloads.SilesiaLike, 24<<20, "gzip -6")
-	b.Run("gzip-rapidgzip", func(b *testing.B) { benchDecompress(b, gz, Options{Parallelism: p}, false) })
-	b.Run("gzip-rapidgzip-index", func(b *testing.B) { benchDecompress(b, gz, Options{Parallelism: p}, true) })
+	b.Run("gzip-rapidgzip", func(b *testing.B) { benchDecompress(b, gz, p, 0, false) })
+	b.Run("gzip-rapidgzip-index", func(b *testing.B) { benchDecompress(b, gz, p, 0, true) })
 
 	bgzf := getFixture(b, "t4-bgzf", workloads.SilesiaLike, 24<<20, "bgzip -l 6")
-	b.Run("bgzf-rapidgzip", func(b *testing.B) { benchDecompress(b, bgzf, Options{Parallelism: p}, false) })
+	b.Run("bgzf-rapidgzip", func(b *testing.B) { benchDecompress(b, bgzf, p, 0, false) })
 
 	bz, err := bzip2x.Compress(data, bzip2x.WriterOptions{Level: 9, StreamSize: 900_000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("bzip2-lbzip2x", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			out, err := bzip2x.DecompressParallel(bz, p)
-			if err != nil || len(out) != len(data) {
-				b.Fatalf("%d bytes, %v", len(out), err)
-			}
-		}
+	// A cold open of bzip2 pays the sizing pass, which decodes every
+	// stream once before the parallel decode.
+	b.Run("bzip2-incl-sizing", func(b *testing.B) {
+		benchDecompress(b, &fixture{raw: data, comp: bz}, p, 0, false)
 	})
 
 	pz := lz4x.CompressFrames(data, lz4x.FrameOptions{FrameSize: 1 << 20, BlockSize: 256 << 10})
 	b.Run("pzstd-analog-lz4frames", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			out, err := lz4x.DecompressParallel(pz, p)
-			if err != nil || len(out) != len(data) {
-				b.Fatalf("%d bytes, %v", len(out), err)
-			}
-		}
+		benchDecompress(b, &fixture{raw: data, comp: pz}, p, 0, false)
 	})
 
 	lz := lz4x.CompressFrames(data, lz4x.FrameOptions{BlockSize: 256 << 10})

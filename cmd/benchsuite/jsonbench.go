@@ -652,20 +652,11 @@ func runOnce(comp, index []byte, threads int) (float64, rapidgzip.Format, error)
 	var format rapidgzip.Format
 	start := time.Now()
 	for {
-		var a rapidgzip.Archive
-		var err error
-		if index != nil {
-			var r *rapidgzip.Reader
-			r, err = rapidgzip.NewBytesReader(comp, rapidgzip.Options{Parallelism: threads})
-			if err == nil {
-				if err = r.ImportIndex(bytes.NewReader(index)); err == nil {
-					a = r
-				} else {
-					r.Close()
-				}
+		a, err := rapidgzip.OpenBytes(comp, rapidgzip.WithParallelism(threads))
+		if err == nil && index != nil {
+			if err = a.ImportIndex(bytes.NewReader(index)); err != nil {
+				a.Close()
 			}
-		} else {
-			a, err = rapidgzip.OpenBytes(comp, rapidgzip.WithParallelism(threads))
 		}
 		if err != nil {
 			return 0, rapidgzip.FormatUnknown, err
@@ -687,13 +678,13 @@ func runOnce(comp, index []byte, threads int) (float64, rapidgzip.Format, error)
 
 // buildIndex exports a seek-point index for comp.
 func buildIndex(comp []byte, threads int) ([]byte, error) {
-	r, err := rapidgzip.NewBytesReader(comp, rapidgzip.Options{Parallelism: threads})
+	a, err := rapidgzip.OpenBytes(comp, rapidgzip.WithParallelism(threads))
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
+	defer a.Close()
 	var buf bytes.Buffer
-	if err := r.ExportIndex(&buf); err != nil {
+	if err := a.ExportIndex(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

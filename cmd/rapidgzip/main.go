@@ -170,16 +170,16 @@ func run() error {
 		fmt.Println(lines)
 	}
 	if *verify {
-		if gz, ok := r.(*rapidgzip.Reader); ok {
-			if ok, fails := gz.CRCVerified(); !ok || fails > 0 {
-				return fmt.Errorf("CRC verification failed (%d mismatches)", fails)
-			}
+		// gzip/BGZF verify member CRCs in consumption order; bzip2/LZ4/
+		// zstd verify inline during decode, so reaching here means every
+		// checksum they carry already passed.
+		ok, fails := r.(interface{ CRCVerified() (bool, uint64) }).CRCVerified()
+		switch {
+		case !ok || fails > 0:
+			return fmt.Errorf("CRC verification failed (%d mismatches)", fails)
+		case r.Capabilities().Verify:
 			fmt.Fprintln(os.Stderr, "rapidgzip: checksums OK")
-		} else if r.Capabilities().Verify {
-			// bzip2/LZ4/zstd verify inline during decode: reaching here
-			// means every checksum already passed.
-			fmt.Fprintln(os.Stderr, "rapidgzip: checksums OK")
-		} else {
+		default:
 			fmt.Fprintf(os.Stderr, "rapidgzip: %v input carries no checksums; nothing verified\n", r.Format())
 		}
 	}
@@ -206,8 +206,8 @@ func run() error {
 			n, r.Format(), s.SizingPasses, s.SizingDecodes, s.SpanDecodes, s.PrefetchIssued, s.PrefetchJoined, s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions, s.SourceReads, s.SourceBytesRead)
 		switch r.Format() {
 		case rapidgzip.FormatGzip, rapidgzip.FormatBGZF:
-			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d delegated=%d\n",
-				s.ChunksConsumed, s.GuessTasks, s.FinderProbes, s.GuessNoBlock, s.GuessFalseStarts, s.OnDemandDecodes, s.IndexedDecodes, s.DelegatedDecodes)
+			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d\n",
+				s.ChunksConsumed, s.GuessTasks, s.FinderProbes, s.GuessNoBlock, s.GuessFalseStarts, s.OnDemandDecodes, s.IndexedDecodes)
 		}
 	}
 	return nil

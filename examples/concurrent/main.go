@@ -29,10 +29,9 @@ func main() {
 		fmt.Printf("no input given; demo file: %s\n", path)
 	}
 
-	r, err := rapidgzip.OpenOptions(path, rapidgzip.Options{
-		Strategy:        "multistream",
-		AccessCacheSize: 16,
-	})
+	r, err := rapidgzip.Open(path,
+		rapidgzip.WithStrategy("multistream"),
+		rapidgzip.WithAccessCacheSize(16))
 	if err != nil {
 		log.Fatal(err)
 	}

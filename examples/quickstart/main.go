@@ -49,10 +49,8 @@ func main() {
 		float64(n)/1e6/elapsed.Seconds())
 	fmt.Printf("chunks consumed: %d, speculative decodes: %d, on-demand decodes: %d\n",
 		st.ChunksConsumed, st.GuessTasks, st.OnDemandDecodes)
-	if gz, isGzip := r.(*rapidgzip.Reader); isGzip {
-		ok, fails := gz.CRCVerified()
-		fmt.Printf("checksums verified: %v (%d failures)\n", ok, fails)
-	}
+	ok, fails := r.(interface{ CRCVerified() (bool, uint64) }).CRCVerified()
+	fmt.Printf("checksums verified: %v (%d failures)\n", ok, fails)
 }
 
 // demoFile writes a pigz-style compressed base64 workload to a temp

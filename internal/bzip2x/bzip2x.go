@@ -1,8 +1,8 @@
 // Package bzip2x is the bzip2 leg of the reproduction: a from-scratch
 // bzip2 compressor (RLE1 → BWT → MTF/RLE2 → Huffman, validated against
-// the standard library's decompressor) and an lbzip2-style parallel
-// decompressor that splits multi-stream files at stream magics and
-// inflates the streams concurrently.
+// the standard library's decompressor) and the span-engine codec that
+// splits multi-stream files at stream magics, so the engine inflates
+// the streams concurrently, lbzip2-style.
 //
 // The paper's Figure 5 notes that the rapidgzip chunk-fetcher
 // architecture had already been instantiated for bzip2

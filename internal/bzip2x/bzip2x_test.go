@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -89,23 +91,6 @@ func TestMultiStream(t *testing.T) {
 	}
 }
 
-func TestDecompressParallelMatchesSerial(t *testing.T) {
-	data := workloads.SilesiaLike(600_000, 8)
-	comp, err := Compress(data, WriterOptions{Level: 1, StreamSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threads := range []int{1, 2, 8} {
-		got, err := DecompressParallel(comp, threads)
-		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("threads=%d: mismatch", threads)
-		}
-	}
-}
-
 func TestParallelFallbackOnFalsePositive(t *testing.T) {
 	// Plant a fake stream magic inside a REAL stream's payload region
 	// is hard to do deterministically, so emulate the effect: a file
@@ -113,15 +98,20 @@ func TestParallelFallbackOnFalsePositive(t *testing.T) {
 	// stored magic bytes inside the data itself. The data contains the
 	// literal stream prefix, which (if it survives compression
 	// literally) could produce a false candidate; either way the
-	// parallel path must return correct output.
+	// sizing pass must merge it away and the engine return correct
+	// output.
 	payload := append([]byte("BZh1"), []byte{0x31, 0x41, 0x59, 0x26, 0x53, 0x59}...)
 	data := append(workloads.Base64(200_000, 9), bytes.Repeat(payload, 100)...)
 	comp, err := Compress(data, WriterOptions{Level: 1, StreamSize: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressParallel(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := r.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -257,15 +247,15 @@ func TestReaderReadAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d, want %d", r.Size(), len(data))
 	}
-	if r.NumStreams() != 5 {
-		t.Fatalf("NumStreams = %d, want 5", r.NumStreams())
+	if r.NumSpans() != 5 {
+		t.Fatalf("NumStreams = %d, want 5", r.NumSpans())
 	}
 	offs := []int64{0, 1, 99_999, 100_000, 100_001, 333_333, int64(len(data)) - 1}
 	for _, off := range offs {
@@ -293,12 +283,12 @@ func TestReaderSingleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumStreams() != 1 {
-		t.Fatalf("NumStreams = %d, want 1", r.NumStreams())
+	if r.NumSpans() != 1 {
+		t.Fatalf("NumStreams = %d, want 1", r.NumSpans())
 	}
 	buf := make([]byte, 1000)
 	if _, err := r.ReadAt(buf, 150_000); err != nil && err != io.EOF {
@@ -315,7 +305,7 @@ func TestReaderConcurrentReadAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +340,13 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp[len(comp)/2] ^= 0xFF
-	if _, err := NewReader(comp, 2); err == nil {
+	if _, err := newEngine(comp, 2); err == nil {
 		t.Fatal("corrupt file accepted")
 	}
+}
+
+// newEngine serves comp through the shared span engine with this
+// package's codec — the path every archive of this format takes.
+func newEngine(comp []byte, threads int) (*spanengine.Engine, error) {
+	return spanengine.New(filereader.MemoryReader(comp), Codec{Threads: threads}, spanengine.Config{Threads: threads})
 }

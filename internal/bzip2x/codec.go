@@ -114,47 +114,6 @@ func Decompress(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecompressParallel inflates a multi-stream bzip2 file with
-// stream-level parallelism, the lbzip2 scheme of Table 4: candidate
-// stream boundaries come from FindStreams, the spans between
-// consecutive candidates decode concurrently on the worker pool, and
-// any failure (for example a false-positive boundary splitting a real
-// stream) falls back to the serial whole-file path, which is always
-// correct.
-func DecompressParallel(data []byte, threads int) ([]byte, error) {
-	if threads < 1 {
-		threads = 1
-	}
-	offs := FindStreams(data)
-	if len(offs) == 1 || threads == 1 {
-		return Decompress(data)
-	}
-	p := pool.New(threads)
-	defer p.Close()
-	futs := make([]*pool.Future[[]byte], len(offs))
-	for i := range offs {
-		start := offs[i]
-		end := len(data)
-		if i+1 < len(offs) {
-			end = offs[i+1]
-		}
-		futs[i] = pool.Go(p, func() ([]byte, error) {
-			return Decompress(data[start:end])
-		})
-	}
-	var out []byte
-	for _, fut := range futs {
-		part, err := fut.Wait()
-		if err != nil {
-			// A span failed: at least one candidate was a false
-			// positive. Serial decoding resolves the layout exactly.
-			return Decompress(data)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
 // Codec is the bzip2 half of the shared span engine: the sizing pass
 // (bzip2 declares no sizes anywhere, so Scan decompresses the whole
 // file once, in parallel, merging spans cut short by false-positive
@@ -276,76 +235,3 @@ func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, e
 	}
 	return out, nil
 }
-
-// Reader provides checkpointed random access into a bzip2 file — the
-// Bzip2BlockFetcher instantiation the paper mentions under Figure 5,
-// served by the shared span engine: the checkpoint table comes from
-// Codec.Scan (one sizing pass over the whole file) or from a persisted
-// index via NewReaderFromCheckpoints (no sizing pass at all), and
-// ReadAt re-decodes only the stream spans touched by the request, with
-// the engine's LRU cache and prefetcher around it.
-//
-// All methods are safe for concurrent use.
-type Reader struct {
-	eng *spanengine.Engine
-}
-
-// NewReader validates data and builds the checkpoint table with one
-// parallel sizing pass.
-func NewReader(data []byte, threads int) (*Reader, error) {
-	return NewReaderConfig(filereader.MemoryReader(data), spanengine.Config{Threads: threads})
-}
-
-// NewReaderConfig is NewReader with full engine tuning (cache size,
-// prefetch depth, strategy), over any positional source — an open file
-// serves random access without the compressed bytes ever being
-// resident as a whole.
-func NewReaderConfig(src filereader.FileReader, cfg spanengine.Config) (*Reader, error) {
-	eng, err := spanengine.New(src, Codec{Threads: cfg.Threads}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{eng: eng}, nil
-}
-
-// NewReaderFromCheckpoints builds a reader from a persisted checkpoint
-// table, skipping the sizing pass entirely.
-func NewReaderFromCheckpoints(src filereader.FileReader, spans []spanengine.Span, cfg spanengine.Config) (*Reader, error) {
-	eng, err := spanengine.NewFromCheckpoints(src, Codec{Threads: cfg.Threads}, spans, 0, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{eng: eng}, nil
-}
-
-// Engine exposes the underlying span engine (stats, checkpoint export).
-func (r *Reader) Engine() *spanengine.Engine { return r.eng }
-
-// Close releases the engine's prefetch workers.
-func (r *Reader) Close() error { return r.eng.Close() }
-
-// Size returns the total decompressed size (established by the sizing
-// pass or the imported table, so this never scans again).
-func (r *Reader) Size() int64 { return r.eng.Size() }
-
-// NumStreams returns the number of checkpoints (validated stream
-// spans). Files written by pbzip2/lbzip2 — or Compress with a
-// StreamSize — have many; single-stream files have one, making every
-// ReadAt a whole-file decode.
-func (r *Reader) NumStreams() int { return r.eng.NumSpans() }
-
-// NumChunks, ChunkExtent and ChunkContent expose the checkpoint table
-// generically (one chunk = one validated stream span), so a consumer
-// can pipeline ordered sequential reads with parallel decodes.
-func (r *Reader) NumChunks() int { return r.eng.NumSpans() }
-
-// ChunkExtent returns the decompressed offset and size of chunk i.
-func (r *Reader) ChunkExtent(i int) (off, size int64) { return r.eng.SpanExtent(i) }
-
-// ChunkContent returns the decompressed output of chunk i. The
-// returned slice is shared with the engine's cache and must not be
-// modified.
-func (r *Reader) ChunkContent(i int) ([]byte, error) { return r.eng.SpanContent(i) }
-
-// ReadAt implements io.ReaderAt over the decompressed stream.
-func (r *Reader) ReadAt(p []byte, off int64) (int, error) { return r.eng.ReadAt(p, off) }

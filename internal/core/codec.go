@@ -25,9 +25,9 @@ type spanMeta struct {
 	atMemberStart     bool
 	endIsEOF          bool
 	// members records every gzip member end inside (or at the end of)
-	// this entry, captured when the entry was confirmed. Re-decodes of
-	// the entry — in particular the stdlib-delegated fast path, whose
-	// results carry no footer events — verify against these marks.
+	// this entry, captured when the entry was confirmed or imported
+	// with the index. Sequential CRC verification checks each consumed
+	// span against these marks.
 	members []memberMark
 }
 
@@ -51,11 +51,12 @@ type futureChunk = pool.Future[*deflate.ChunkResult]
 // (Scan enumerates members from metadata), which makes them an exact
 // span source like bzip2/LZ4/zstd.
 type gzipCodec struct {
-	cfg      Config
-	src      *filereader.SharedFileReader
-	fileBits uint64
-	bgzf     bool
-	cnt      *counters
+	cfg         Config
+	maxPrefetch int // bound on in-flight speculative decodes (the engine's MaxPrefetch)
+	src         *filereader.SharedFileReader
+	fileBits    uint64
+	bgzf        bool
+	cnt         *counters
 
 	// mu guards the chunk geometry and speculation bookkeeping. Lock
 	// order: an engine-mutex holder may take mu (Speculate); a tentMu
@@ -86,20 +87,25 @@ type gzipCodec struct {
 	consumed  map[int]bool
 }
 
-func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters) *gzipCodec {
-	return &gzipCodec{
-		cfg:           cfg,
+// newGzipCodec returns a codec of g with empty geometry over src.
+func newGzipCodec(g *Gzip, src *filereader.SharedFileReader, maxPrefetch int) *gzipCodec {
+	c := &gzipCodec{
+		cfg:           g.cfg,
+		maxPrefetch:   maxPrefetch,
 		src:           src,
 		fileBits:      uint64(src.Size()) * 8,
-		cnt:           cnt,
+		bgzf:          g.bgzf,
+		cnt:           &g.cnt,
 		byOff:         map[int64]int{},
-		index:         gzindex.New(cfg.ChunkSize),
+		index:         gzindex.New(g.cfg.ChunkSize),
 		marksKnown:    true,
 		guessIssued:   map[uint64]bool{},
 		noBlock:       map[uint64]bool{},
 		inflightGuess: map[uint64]*futureChunk{},
 		consumed:      map[int]bool{},
 	}
+	c.index.CompressedSize = uint64(src.Size())
+	return c
 }
 
 func (c *gzipCodec) chunkBits() uint64 { return uint64(c.cfg.ChunkSize) * 8 }
@@ -172,13 +178,9 @@ func (c *gzipCodec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]
 }
 
 // decodeMeta decodes one confirmed entry over a single bounded read of
-// its compressed extent, using the custom single-stage decoder. The
-// paper delegates indexed decodes to zlib (§3.3) because its marker
-// decoder lost to zlib's inner loops; with the wide-refill kernels the
-// single-stage decoder outruns compress/flate delegation (see
-// BenchmarkChunkDecode* in internal/deflate), and it handles every
-// chunk shape — member boundaries included — so no fallback chain is
-// needed. Safe for concurrent calls: it touches no mutable codec state.
+// its compressed extent, using the custom single-stage decoder. It
+// handles every chunk shape — member boundaries included. Safe for
+// concurrent calls: it touches no mutable codec state.
 func (c *gzipCodec) decodeMeta(m spanMeta, window []byte) (res *deflate.ChunkResult, err error) {
 	fileSize := int64(c.fileBits / 8)
 	byteStart := int64(m.startBit / 8)
@@ -440,7 +442,7 @@ func (c *gzipCodec) Speculate(e *spanengine.Engine, cand uint64) {
 	}
 	g := c.frontierBit/cb + 1 + gap
 	if g*cb >= c.fileBits || c.guessIssued[g] || c.noBlock[g] ||
-		c.inflightGuess[g] != nil || len(c.inflightGuess) >= c.cfg.MaxPrefetch {
+		c.inflightGuess[g] != nil || len(c.inflightGuess) >= c.maxPrefetch {
 		return
 	}
 	c.guessIssued[g] = true

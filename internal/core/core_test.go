@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/deflate"
-	"repro/internal/filereader"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
 	"repro/internal/prefetch"
@@ -49,9 +48,9 @@ func mkRandom(seed int64, n int) []byte {
 	return out
 }
 
-func open(t testing.TB, comp []byte, cfg Config) *ParallelGzipReader {
+func open(t testing.TB, comp []byte, cfg testConfig) *reader {
 	t.Helper()
-	r, err := NewReader(filereader.MemoryReader(comp), cfg)
+	r, err := newReader(comp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func open(t testing.TB, comp []byte, cfg Config) *ParallelGzipReader {
 	return r
 }
 
-func readAll(t testing.TB, r *ParallelGzipReader) []byte {
+func readAll(t testing.TB, r *reader) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {
@@ -95,7 +94,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4} {
-				r := open(t, comp, Config{Parallelism: par, ChunkSize: 64 << 10, VerifyChecksums: true})
+				r := open(t, comp, testConfig{Parallelism: par, ChunkSize: 64 << 10, VerifyChecksums: true})
 				got := readAll(t, r)
 				if !bytes.Equal(got, data) {
 					t.Fatalf("%s/%s P=%d: mismatch (%d vs %d bytes)", dname, cname, par, len(got), len(data))
@@ -116,11 +115,11 @@ func TestStdlibCompressedInput(t *testing.T) {
 		w, _ := gzip.NewWriterLevel(&buf, level)
 		w.Write(data)
 		w.Close()
-		r := open(t, buf.Bytes(), Config{Parallelism: 6, ChunkSize: 32 << 10, VerifyChecksums: true})
+		r := open(t, buf.Bytes(), testConfig{Parallelism: 6, ChunkSize: 32 << 10, VerifyChecksums: true})
 		if got := readAll(t, r); !bytes.Equal(got, data) {
 			t.Fatalf("level %d: mismatch", level)
 		}
-		stats := r.FetcherStats()
+		stats := r.g.Stats()
 		if stats.GuessTasks == 0 {
 			t.Fatalf("level %d: no speculative decodes happened (chunking broken)", level)
 		}
@@ -130,7 +129,7 @@ func TestStdlibCompressedInput(t *testing.T) {
 func TestReadSmallPieces(t *testing.T) {
 	data := mkText(5, 300_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	r := open(t, comp, Config{Parallelism: 3, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 3, ChunkSize: 32 << 10})
 	var got []byte
 	buf := make([]byte, 777)
 	for {
@@ -151,7 +150,7 @@ func TestReadSmallPieces(t *testing.T) {
 func TestSeekAndRead(t *testing.T) {
 	data := mkText(6, 600_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10})
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		off := rng.Intn(len(data) - 100)
@@ -184,7 +183,7 @@ func TestReadAtConcurrent(t *testing.T) {
 	// §3: "fast concurrent access at two different offsets".
 	data := mkText(8, 800_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	r := open(t, comp, Config{
+	r := open(t, comp, testConfig{
 		Parallelism: 4, ChunkSize: 32 << 10,
 		Strategy: prefetch.NewMultiStream(), AccessCacheSize: 8,
 	})
@@ -217,20 +216,20 @@ func TestIndexExportImport(t *testing.T) {
 	data := mkText(9, 700_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 
-	r1 := open(t, comp, Config{Parallelism: 4, ChunkSize: 64 << 10})
+	r1 := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 64 << 10})
 	var ixBuf bytes.Buffer
 	if err := r1.ExportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 
-	r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
+	r2 := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
 	if err := r2.ImportIndex(bytes.NewReader(ixBuf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("decode with imported index mismatch")
 	}
-	stats := r2.FetcherStats()
+	stats := r2.g.Stats()
 	if stats.GuessTasks != 0 {
 		t.Fatalf("index-primed decode ran %d speculative tasks", stats.GuessTasks)
 	}
@@ -238,7 +237,7 @@ func TestIndexExportImport(t *testing.T) {
 		t.Fatal("CRC verification failed with index")
 	}
 	// Random access with imported index needs no initial pass.
-	r3 := open(t, comp, Config{Parallelism: 2, ChunkSize: 64 << 10})
+	r3 := open(t, comp, testConfig{Parallelism: 2, ChunkSize: 64 << 10})
 	if err := r3.ImportIndex(bytes.NewReader(ixBuf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +254,13 @@ func TestIndexExportImport(t *testing.T) {
 func TestImportIndexWrongFile(t *testing.T) {
 	data := mkText(10, 100_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
-	r1 := open(t, comp, Config{Parallelism: 2})
+	r1 := open(t, comp, testConfig{Parallelism: 2})
 	var ixBuf bytes.Buffer
 	if err := r1.ExportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 	other, _, _ := gzipw.Compress(mkText(11, 50_000), gzipw.Options{Level: 6})
-	r2 := open(t, other, Config{Parallelism: 2})
+	r2 := open(t, other, testConfig{Parallelism: 2})
 	if err := r2.ImportIndex(bytes.NewReader(ixBuf.Bytes())); err == nil {
 		t.Fatal("index for a different file accepted")
 	}
@@ -272,14 +271,14 @@ func TestImportIndexWrongFileSameSize(t *testing.T) {
 	// check alone cannot tell them apart, the source fingerprint must.
 	data := mkText(10, 100_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
-	r1 := open(t, comp, Config{Parallelism: 2})
+	r1 := open(t, comp, testConfig{Parallelism: 2})
 	var ixBuf bytes.Buffer
 	if err := r1.ExportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 	other := bytes.Clone(comp)
 	other[100] ^= 0xFF // same length, different content
-	r2 := open(t, other, Config{Parallelism: 2})
+	r2 := open(t, other, testConfig{Parallelism: 2})
 	err := r2.ImportIndex(bytes.NewReader(ixBuf.Bytes()))
 	if err == nil {
 		t.Fatal("index for a different file of identical size accepted")
@@ -295,7 +294,7 @@ func TestImportFingerprintlessV2Index(t *testing.T) {
 	// them to the fingerprinted format.
 	data := mkText(10, 100_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
-	r1 := open(t, comp, Config{Parallelism: 2})
+	r1 := open(t, comp, testConfig{Parallelism: 2})
 	var ixBuf bytes.Buffer
 	if err := r1.ExportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
@@ -310,7 +309,7 @@ func TestImportFingerprintlessV2Index(t *testing.T) {
 	if _, err := ix.WriteTo(&v2ish); err != nil {
 		t.Fatal(err)
 	}
-	r2 := open(t, comp, Config{Parallelism: 2})
+	r2 := open(t, comp, testConfig{Parallelism: 2})
 	if err := r2.ImportIndex(bytes.NewReader(v2ish.Bytes())); err != nil {
 		t.Fatalf("fingerprint-less index rejected: %v", err)
 	}
@@ -333,15 +332,15 @@ func TestBGZFFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 128 << 10, VerifyChecksums: true})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 128 << 10, VerifyChecksums: true})
 	// The index must be complete before any read: BGZF needs no scan.
-	if r.f.EOF() != true {
+	if r.eng.Complete() != true {
 		t.Fatal("BGZF file not recognised by the fast path")
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("BGZF decode mismatch")
 	}
-	stats := r.FetcherStats()
+	stats := r.g.Stats()
 	if stats.GuessTasks != 0 {
 		t.Fatalf("BGZF path ran %d speculative tasks", stats.GuessTasks)
 	}
@@ -355,11 +354,11 @@ func TestSingleBlockFileDegradesGracefully(t *testing.T) {
 	// impossible (§4.8) but decoding must stay correct.
 	data := mkBase64(13, 400_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 1, SingleBlock: true, Strategy: gzipw.DynamicOnly})
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10})
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("single-block decode mismatch")
 	}
-	stats := r.FetcherStats()
+	stats := r.g.Stats()
 	if stats.GuessNoBlock == 0 {
 		t.Fatal("expected no-block speculative results for a single-block file")
 	}
@@ -373,7 +372,7 @@ func TestHighCompressionRatioFile(t *testing.T) {
 	if len(comp) > 100_000 {
 		t.Fatalf("zeros should compress tiny, got %d", len(comp))
 	}
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 8 << 10, GuessedRatioLimit: 8})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 8 << 10, GuessedRatioLimit: 8})
 	got := readAll(t, r)
 	if !bytes.Equal(got, data) {
 		t.Fatal("high-ratio decode mismatch")
@@ -385,7 +384,7 @@ func TestChunkSplitting(t *testing.T) {
 	// raw decode units (§1.4 chunk splitting).
 	data := bytes.Repeat(mkText(14, 1000), 3000) // ~3 MB, very repetitive
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 9, BlockSize: 8 << 10})
-	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 16 << 10})
+	r := open(t, comp, testConfig{Parallelism: 2, ChunkSize: 16 << 10})
 	if err := r.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +412,7 @@ func TestTruncatedFileErrors(t *testing.T) {
 	data := mkText(15, 200_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	trunc := comp[:len(comp)/2]
-	r := open(t, trunc, Config{Parallelism: 2, ChunkSize: 16 << 10})
+	r := open(t, trunc, testConfig{Parallelism: 2, ChunkSize: 16 << 10})
 	var buf bytes.Buffer
 	_, err := r.WriteTo(&buf)
 	if err == nil {
@@ -425,12 +424,12 @@ func TestCorruptMidFileErrors(t *testing.T) {
 	data := mkText(16, 400_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	comp[len(comp)/2] ^= 0xA5
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10})
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err == nil {
 		// Corruption may land in a place that still decodes structurally;
 		// then the checksum pass must catch it instead.
-		r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10, VerifyChecksums: true})
+		r2 := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10, VerifyChecksums: true})
 		var buf2 bytes.Buffer
 		if _, err2 := r2.WriteTo(&buf2); err2 == nil {
 			if ok, _ := r2.CRCStatus(); ok && bytes.Equal(buf2.Bytes(), data) {
@@ -442,7 +441,7 @@ func TestCorruptMidFileErrors(t *testing.T) {
 
 func TestEmptyFile(t *testing.T) {
 	comp, _, _ := gzipw.Compress(nil, gzipw.Options{Level: 6})
-	r := open(t, comp, Config{Parallelism: 2})
+	r := open(t, comp, testConfig{Parallelism: 2})
 	got := readAll(t, r)
 	if len(got) != 0 {
 		t.Fatalf("got %d bytes", len(got))
@@ -454,7 +453,7 @@ func TestEmptyFile(t *testing.T) {
 }
 
 func TestNotGzipErrors(t *testing.T) {
-	if _, err := NewReader(filereader.MemoryReader([]byte("not a gzip file")), Config{}); err == nil {
+	if _, err := newReader([]byte("not a gzip file"), testConfig{}); err == nil {
 		t.Fatal("non-gzip input accepted")
 	}
 }
@@ -462,7 +461,7 @@ func TestNotGzipErrors(t *testing.T) {
 func TestSizeWithoutReading(t *testing.T) {
 	data := mkText(17, 300_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10})
 	size, err := r.Size()
 	if err != nil || size != int64(len(data)) {
 		t.Fatalf("size %d err %v want %d", size, err, len(data))
@@ -477,7 +476,7 @@ func TestPrefetchStrategies(t *testing.T) {
 		"adaptive":    prefetch.NewAdaptive(),
 		"multistream": prefetch.NewMultiStream(),
 	} {
-		r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10, Strategy: s})
+		r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10, Strategy: s})
 		if got := readAll(t, r); !bytes.Equal(got, data) {
 			t.Fatalf("%s: mismatch", name)
 		}
@@ -492,7 +491,7 @@ func TestSerialBaselineAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10})
 	if got := readAll(t, r); !bytes.Equal(got, serial) {
 		t.Fatal("parallel disagrees with serial")
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/filereader"
 	"repro/internal/gzipw"
 )
 
@@ -17,7 +16,7 @@ func TestTinyMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 16 << 10, VerifyChecksums: true})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 16 << 10, VerifyChecksums: true})
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("tiny-member decode mismatch")
 	}
@@ -31,12 +30,12 @@ func TestIndexBuiltAtDifferentChunkSize(t *testing.T) {
 	// configured with another.
 	data := mkText(31, 500_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	r1 := open(t, comp, Config{Parallelism: 2, ChunkSize: 16 << 10})
+	r1 := open(t, comp, testConfig{Parallelism: 2, ChunkSize: 16 << 10})
 	var ix bytes.Buffer
 	if err := r1.ExportIndex(&ix); err != nil {
 		t.Fatal(err)
 	}
-	r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 256 << 10, VerifyChecksums: true})
+	r2 := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 256 << 10, VerifyChecksums: true})
 	if err := r2.ImportIndex(bytes.NewReader(ix.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestIndexBuiltAtDifferentChunkSize(t *testing.T) {
 func TestReadPastEOF(t *testing.T) {
 	data := mkText(32, 50_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
-	r := open(t, comp, Config{Parallelism: 2})
+	r := open(t, comp, testConfig{Parallelism: 2})
 
 	if _, err := r.Seek(int64(len(data))+1000, io.SeekStart); err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestReadPastEOF(t *testing.T) {
 func TestZeroLengthReads(t *testing.T) {
 	data := mkText(33, 10_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
-	r := open(t, comp, Config{Parallelism: 2})
+	r := open(t, comp, testConfig{Parallelism: 2})
 	if n, err := r.Read(nil); n != 0 || err != nil {
 		t.Fatalf("Read(nil): %d %v", n, err)
 	}
@@ -88,9 +87,9 @@ func TestZeroLengthReads(t *testing.T) {
 }
 
 func TestBGZFWithChecksums(t *testing.T) {
-	// BGZF chunks are delegated to stdlib gzip, which verifies each
-	// member's CRC itself; corrupting a payload byte must surface as an
-	// error even though the architecture-level CRC chain is bypassed.
+	// Without WithVerify the architecture-level CRC chain is off, yet a
+	// corrupted payload byte must still surface as a decode error or
+	// wrong bytes, never as silently correct-looking output.
 	data := mkText(34, 400_000)
 	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BGZF: true})
 	if err != nil {
@@ -98,7 +97,7 @@ func TestBGZFWithChecksums(t *testing.T) {
 	}
 	bad := bytes.Clone(comp)
 	bad[len(bad)/2] ^= 0x11
-	r, err := NewReader(filereader.MemoryReader(bad), Config{Parallelism: 2})
+	r, err := newReader(bad, testConfig{Parallelism: 2})
 	if err != nil {
 		// Corruption in the member scan metadata is also acceptable.
 		return
@@ -111,29 +110,25 @@ func TestBGZFWithChecksums(t *testing.T) {
 }
 
 func TestStatsIndexedDecodes(t *testing.T) {
-	// Index-primed reads run the custom single-stage decoder on every
-	// chunk; the stdlib delegation path is gone (the rewritten kernels
-	// outrun compress/flate), so its counter must stay zero.
+	// Index-primed reads decode every chunk from its stored window and
+	// count as indexed decodes.
 	data := mkBase64(35, 600_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	r1 := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10})
+	r1 := open(t, comp, testConfig{Parallelism: 2, ChunkSize: 32 << 10})
 	var ix bytes.Buffer
 	if err := r1.ExportIndex(&ix); err != nil {
 		t.Fatal(err)
 	}
-	r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r2 := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 32 << 10})
 	if err := r2.ImportIndex(bytes.NewReader(ix.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("mismatch")
 	}
-	s := r2.FetcherStats()
+	s := r2.g.Stats()
 	if s.IndexedDecodes == 0 {
 		t.Fatalf("no indexed decodes (onDemand=%d)", s.OnDemandDecodes)
-	}
-	if s.DelegatedDecodes != 0 {
-		t.Fatalf("unexpected delegated decodes: %d", s.DelegatedDecodes)
 	}
 }
 
@@ -142,7 +137,7 @@ func TestSequentialReadAfterRandomAccess(t *testing.T) {
 	// (regression guard for cache/frontier interactions).
 	data := mkText(36, 400_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	r := open(t, comp, Config{Parallelism: 3, ChunkSize: 32 << 10})
+	r := open(t, comp, testConfig{Parallelism: 3, ChunkSize: 32 << 10})
 	buf := make([]byte, 100)
 	for _, off := range []int{300_000, 10, 200_000, 399_000, 0} {
 		if _, err := r.ReadAt(buf, int64(off)); err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/deflate"
-	"repro/internal/filereader"
 	"repro/internal/gzipw"
 	"repro/internal/prefetch"
 )
@@ -36,7 +35,7 @@ func roundTripCases() []roundTripCase {
 // form.
 func exportIndex(t *testing.T, comp []byte, chunkSize int) []byte {
 	t.Helper()
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: chunkSize})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: chunkSize})
 	var buf bytes.Buffer
 	if err := r.ExportIndex(&buf); err != nil {
 		t.Fatal(err)
@@ -45,7 +44,7 @@ func exportIndex(t *testing.T, comp []byte, chunkSize int) []byte {
 }
 
 // TestIndexRoundTripMatrix is the tentpole acceptance test: for every
-// corpus/compressor pair, ExportIndex → NewReader+ImportIndex must
+// corpus/compressor pair, ExportIndex → ImportIndex into a fresh reader must
 // yield byte-identical output to an independent serial decode, with the
 // block finder never invoked on the import path.
 func TestIndexRoundTripMatrix(t *testing.T) {
@@ -64,7 +63,7 @@ func TestIndexRoundTripMatrix(t *testing.T) {
 			}
 			ixRaw := exportIndex(t, comp, 64<<10)
 
-			r := open(t, comp, Config{Parallelism: 4, ChunkSize: 64 << 10})
+			r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 64 << 10})
 			if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +84,7 @@ func TestIndexRoundTripMatrix(t *testing.T) {
 					t.Fatalf("ReadAt(%d) mismatch", off)
 				}
 			}
-			s := r.FetcherStats()
+			s := r.g.Stats()
 			if s.FinderProbes != 0 {
 				t.Fatalf("import path probed the block finder %d times", s.FinderProbes)
 			}
@@ -107,7 +106,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 	}
 	ixRaw := exportIndex(t, comp, 64<<10)
 
-	r := open(t, comp, Config{
+	r := open(t, comp, testConfig{
 		Parallelism: 4, ChunkSize: 64 << 10,
 		Strategy: prefetch.NewMultiStream(), AccessCacheSize: 16,
 	})
@@ -142,7 +141,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s := r.FetcherStats(); s.FinderProbes != 0 {
+	if s := r.g.Stats(); s.FinderProbes != 0 {
 		t.Fatalf("concurrent import-path reads probed the finder %d times", s.FinderProbes)
 	}
 }
@@ -170,7 +169,7 @@ func TestImportRejectsCorruptIndex(t *testing.T) {
 	for _, pos := range []int{9, len(ixRaw) / 2, len(ixRaw) - 2} {
 		bad := bytes.Clone(ixRaw)
 		bad[pos] ^= 0x20
-		r, err := NewReader(filereader.MemoryReader(comp), Config{Parallelism: 2})
+		r, err := newReader(comp, testConfig{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +182,7 @@ func TestImportRejectsCorruptIndex(t *testing.T) {
 
 // TestSequentialAfterImportVerifiesMemberCRCs: the exported index
 // persists the member marks, so an import restores the full member-CRC
-// verification chain even though delegated chunk decodes carry no
-// footer events of their own.
+// verification chain without re-learning member ends from decodes.
 func TestSequentialAfterImportVerifiesMemberCRCs(t *testing.T) {
 	data := mkText(48, 800_000)
 	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10, MemberSize: 200 << 10})
@@ -193,7 +191,7 @@ func TestSequentialAfterImportVerifiesMemberCRCs(t *testing.T) {
 	}
 	ixRaw := exportIndex(t, comp, 64<<10)
 
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
+	r := open(t, comp, testConfig{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
 	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +215,7 @@ func TestImportAfterReadsReplacesStaleState(t *testing.T) {
 	}
 	ixRaw := exportIndex(t, comp, 16<<10) // fine-grained table
 
-	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 128 << 10, VerifyChecksums: true})
+	r := open(t, comp, testConfig{Parallelism: 2, ChunkSize: 128 << 10, VerifyChecksums: true})
 	// Serve reads first: populates the access cache and advances the
 	// CRC cursor under the coarse self-built table.
 	buf := make([]byte, 60_000)
@@ -259,12 +257,12 @@ func TestImportPreservesDetectedCRCFailures(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	ixRaw := exportIndex(t, comp, 32<<10)
 
-	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10, VerifyChecksums: true})
+	r := open(t, comp, testConfig{Parallelism: 2, ChunkSize: 32 << 10, VerifyChecksums: true})
 	// Simulate a detected mismatch from earlier consumption.
-	r.f.codec.crcMu.Lock()
-	r.f.codec.crcBroken = true
-	r.f.codec.crcMu.Unlock()
-	r.f.cnt.crcFailures.Store(1)
+	codecOf(r.eng).crcMu.Lock()
+	codecOf(r.eng).crcBroken = true
+	codecOf(r.eng).crcMu.Unlock()
+	r.g.cnt.crcFailures.Store(1)
 	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +287,7 @@ func TestImportThenVerifyCatchesPayloadCorruption(t *testing.T) {
 
 	bad := bytes.Clone(comp)
 	bad[len(bad)/3] ^= 0x55
-	r, err := NewReader(filereader.MemoryReader(bad), Config{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
+	r, err := newReader(bad, testConfig{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
 	if err != nil {
 		return // corruption hit the first header: also a detection
 	}

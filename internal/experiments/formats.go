@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 
+	"repro"
 	"repro/internal/bzip2x"
 	"repro/internal/gzipw"
 	"repro/internal/lz4x"
@@ -49,10 +50,12 @@ func Table3(cfg Config) error {
 }
 
 // Table4 compares formats and decompressors at P = 1, 16, max (paper
-// Table 4). Stand-ins per DESIGN.md: lbzip2 -> bzip2x.DecompressParallel,
-// lz4 -> lz4x serial; the pzstd row is real multi-frame Zstandard
-// (zstdx.DecompressParallel), the format whose per-frame metadata makes
-// parallel decompression trivial (§4.9).
+// Table 4). The bzip2 and pzstd rows run the product (OpenBytes and
+// WriteTo): lbzip2 is stood in for by the stream-parallel bzip2
+// engine, whose cold open pays a sizing pass that decodes every
+// stream once; the pzstd row is real multi-frame Zstandard, the
+// format whose per-frame metadata makes parallel decompression
+// trivial (§4.9). lz4 runs the serial lz4x decoder.
 func Table4(cfg Config) error {
 	cfg = cfg.WithDefaults()
 	cores := clipCores(cfg.Cores)
@@ -113,18 +116,16 @@ func Table4(cfg Config) error {
 			return err
 		}
 		m = measure(cfg.Repeats, func() (int64, error) {
-			out, err := bzip2x.DecompressParallel(bz, p)
-			return int64(len(out)), err
+			return openRun(bz, nil, rapidgzip.WithParallelism(p))
 		})
-		fmt.Fprintf(cfg.Out, "%-10s %-8.2f %-26s %-4d %s\n", "bzip2", ratioOf(data, bz), "lbzip2 (bzip2x)", p, m)
+		fmt.Fprintf(cfg.Out, "%-10s %-8.2f %-26s %-4d %s\n", "bzip2", ratioOf(data, bz), "bzip2x (incl. sizing pass)", p, m)
 
 		// Multi-frame Zstandard: the paper's pzstd row (§4.9), no longer
 		// a stand-in — per-frame content sizes make the decode
 		// trivially parallelizable.
 		pz := zstdx.CompressFrames(data, zstdx.FrameOptions{Level: 1, FrameSize: 1 << 20, ContentChecksum: true})
 		m = measure(cfg.Repeats, func() (int64, error) {
-			out, err := zstdx.DecompressParallel(pz, p)
-			return int64(len(out)), err
+			return openRun(pz, nil, rapidgzip.WithParallelism(p))
 		})
 		fmt.Fprintf(cfg.Out, "%-10s %-8.2f %-26s %-4d %s\n", "pzstd", ratioOf(data, pz), "pzstd (zstdx frames)", p, m)
 

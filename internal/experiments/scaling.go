@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/deflate"
-	"repro/internal/filereader"
 	"repro/internal/gzipw"
 	"repro/internal/pugz"
 	"repro/internal/workloads"
@@ -145,37 +144,39 @@ func scaledChunk(compLen, p int) int {
 }
 
 func rapidgzipRun(comp []byte, p int, index []byte) (int64, error) {
-	return rapidgzipRunOpts(comp, core.Config{Parallelism: p, ChunkSize: scaledChunk(len(comp), p)}, index)
+	return openRun(comp, index, rapidgzip.WithParallelism(p), rapidgzip.WithChunkSize(scaledChunk(len(comp), p)))
 }
 
 func rapidgzipRunChunk(comp []byte, p, chunkSize int) (int64, error) {
-	return rapidgzipRunOpts(comp, core.Config{Parallelism: p, ChunkSize: chunkSize}, nil)
+	return openRun(comp, nil, rapidgzip.WithParallelism(p), rapidgzip.WithChunkSize(chunkSize))
 }
 
-func rapidgzipRunOpts(comp []byte, cfg core.Config, index []byte) (int64, error) {
-	r, err := core.NewReader(filereader.MemoryReader(comp), cfg)
+// openRun decompresses comp through the public OpenBytes path, after
+// importing index when it is non-nil, and returns the bytes written.
+func openRun(comp, index []byte, opts ...rapidgzip.Option) (int64, error) {
+	a, err := rapidgzip.OpenBytes(comp, opts...)
 	if err != nil {
 		return 0, err
 	}
-	defer r.Close()
+	defer a.Close()
 	if index != nil {
-		if err := r.ImportIndex(bytes.NewReader(index)); err != nil {
+		if err := a.ImportIndex(bytes.NewReader(index)); err != nil {
 			return 0, err
 		}
 	}
 	var d discard
-	_, err = r.WriteTo(&d)
+	_, err = a.WriteTo(&d)
 	return d.n, err
 }
 
 func buildIndex(comp []byte, p int) ([]byte, error) {
-	r, err := core.NewReader(filereader.MemoryReader(comp), core.Config{Parallelism: p, ChunkSize: scaledChunk(len(comp), p)})
+	a, err := rapidgzip.OpenBytes(comp, rapidgzip.WithParallelism(p), rapidgzip.WithChunkSize(scaledChunk(len(comp), p)))
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
+	defer a.Close()
 	var buf bytes.Buffer
-	if err := r.ExportIndex(&buf); err != nil {
+	if err := a.ExportIndex(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

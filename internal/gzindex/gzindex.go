@@ -36,9 +36,8 @@ type SeekPoint struct {
 // MemberEnd marks a gzip member ending inside the span of a seek
 // point: the decompressed offset relative to the point and the CRC32
 // the member's footer declares. Persisting these with the index keeps
-// full member-checksum verification available after an import, when the
-// fast stdlib-delegated chunk decodes carry no footer events of their
-// own.
+// full member-checksum verification available after an import, without
+// first re-learning the member boundaries from decodes.
 type MemberEnd struct {
 	RelEnd uint64
 	CRC32  uint32
@@ -87,6 +86,25 @@ func ComputeFingerprint(r io.ReaderAt, size int64) (Fingerprint, error) {
 		return Fingerprint{}, err
 	}
 	return Fingerprint{Head: head, Tail: tail}, nil
+}
+
+// CheckSource reports whether ix may be imported for a source of size
+// bytes whose fingerprint is fp: the index must be finalized and record
+// the same compressed size and, when it carries one (v3 and later), the
+// same fingerprint — which rejects an index built for a different file
+// of identical length.
+func (ix *Index) CheckSource(size int64, fp Fingerprint) error {
+	if !ix.Finalized {
+		return errors.New("gzindex: can only import finalized indexes")
+	}
+	if ix.CompressedSize != uint64(size) {
+		return fmt.Errorf("gzindex: index is for a %d-byte file, have %d bytes", ix.CompressedSize, size)
+	}
+	if ix.SourceFP != nil && *ix.SourceFP != fp {
+		return fmt.Errorf("gzindex: index fingerprint %08x/%08x does not match the open file's %08x/%08x (index built for a different file of the same size)",
+			ix.SourceFP.Head, ix.SourceFP.Tail, fp.Head, fp.Tail)
+	}
+	return nil
 }
 
 // Checkpoint is one span of a per-format checkpoint table (the

@@ -1,7 +1,8 @@
 // Package lz4x implements the LZ4 block and frame formats from
 // scratch: a hash-table LZ77 compressor, a bounds-checked block
-// decompressor, the frame container with xxHash32 checksums, and a
-// frame-parallel decompressor.
+// decompressor, the frame container with xxHash32 checksums, and the
+// span-engine codec through which the frames of a file decode in
+// parallel.
 //
 // In the reproduction, lz4x plays two roles from the paper's Table 4:
 // the serial "lz4" row (fast LZ with modest ratio), and — via files

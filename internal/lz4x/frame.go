@@ -154,7 +154,7 @@ type FrameInfo struct {
 	ContentStart int64
 
 	// flg is the frame descriptor byte, kept so consumers of the scan
-	// (Reader capability reporting) need not re-parse the header.
+	// (the codec's capability flags) need not re-parse the header.
 	flg byte
 }
 

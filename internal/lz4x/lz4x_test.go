@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 	"repro/internal/xxhash"
 )
@@ -156,20 +158,6 @@ func TestScanFrames(t *testing.T) {
 	}
 }
 
-func TestDecompressParallelMatchesSerial(t *testing.T) {
-	data := workloads.SilesiaLike(2_000_000, 7)
-	comp := CompressFrames(data, FrameOptions{FrameSize: 128 << 10, BlockSize: 32 << 10, ContentChecksum: true})
-	for _, threads := range []int{1, 2, 8} {
-		got, err := DecompressParallel(comp, threads)
-		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("threads=%d: mismatch", threads)
-		}
-	}
-}
-
 func TestChecksumsCatchCorruption(t *testing.T) {
 	data := workloads.Base64(300_000, 8)
 	comp := CompressFrames(data, FrameOptions{BlockChecksums: true, ContentChecksum: true, FrameSize: 64 << 10})
@@ -204,17 +192,17 @@ func TestTruncatedFrame(t *testing.T) {
 func TestReaderReadAt(t *testing.T) {
 	data := workloads.Base64(600_000, 11)
 	comp := CompressFrames(data, FrameOptions{FrameSize: 100_000, BlockSize: 16 << 10})
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d, want %d", r.Size(), len(data))
 	}
-	if r.NumFrames() != 6 {
-		t.Fatalf("NumFrames = %d, want 6", r.NumFrames())
+	if r.NumSpans() != 6 {
+		t.Fatalf("NumFrames = %d, want 6", r.NumSpans())
 	}
-	if !r.BlockIndependent() {
+	if !(r.Flags()&FlagBlockIndep != 0) {
 		t.Fatal("CompressFrames output should be block-independent")
 	}
 	// Arbitrary offsets, including frame-straddling and tail reads.
@@ -241,11 +229,11 @@ func TestReaderReadAt(t *testing.T) {
 func TestReaderConcurrentReadAt(t *testing.T) {
 	data := workloads.FASTQ(300_000, 3)
 	comp := CompressFrames(data, FrameOptions{FrameSize: 50_000, ContentChecksum: true})
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Checksummed() {
+	if !(r.Flags()&FlagChecksummed != 0) {
 		t.Fatal("expected Checksummed")
 	}
 	var wg sync.WaitGroup
@@ -304,11 +292,11 @@ func TestLinkedBlockFrameDecodes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
-	r, err := NewReader(comp, 2)
+	r, err := newEngine(comp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BlockIndependent() {
+	if r.Flags()&FlagBlockIndep != 0 {
 		t.Fatal("linked frame reported as block-independent")
 	}
 	buf := make([]byte, 4)
@@ -318,4 +306,10 @@ func TestLinkedBlockFrameDecodes(t *testing.T) {
 	if string(buf) != "ABCD" {
 		t.Fatalf("ReadAt tail = %q", buf)
 	}
+}
+
+// newEngine serves comp through the shared span engine with this
+// package's codec — the path every archive of this format takes.
+func newEngine(comp []byte, threads int) (*spanengine.Engine, error) {
+	return spanengine.New(filereader.MemoryReader(comp), Codec{}, spanengine.Config{Threads: threads})
 }

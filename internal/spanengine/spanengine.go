@@ -1,5 +1,5 @@
 // Package spanengine is the shared random-access core behind every
-// non-gzip backend: one engine owning the checkpoint table ("spans"),
+// format: one engine owning the checkpoint table ("spans"),
 // the LRU span cache and the prefetcher, parameterised by a small
 // per-format Codec that only knows how to split a file into spans (the
 // sizing pass) and how to decode one span.
@@ -336,6 +336,9 @@ func (e *Engine) NumSpans() int {
 	defer e.mu.Unlock()
 	return len(e.spans)
 }
+
+// Codec returns the codec the engine decodes with.
+func (e *Engine) Codec() Codec { return e.codec }
 
 // Flags returns the codec capability bits recorded at scan (or import)
 // time.

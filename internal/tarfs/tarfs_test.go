@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/filereader"
 	"repro/internal/gzipw"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -113,7 +114,7 @@ func TestSeekWithinFile(t *testing.T) {
 }
 
 // TestOverIndexedGzip is the ratarmount scenario end to end: tarfs on
-// top of the parallel gzip reader, random access to members of a
+// top of the parallel gzip engine, random access to members of a
 // compressed archive.
 func TestOverIndexedGzip(t *testing.T) {
 	tarball := workloads.SilesiaLike(2<<20, 3) // a real TAR by construction
@@ -121,16 +122,21 @@ func TestOverIndexedGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.NewReader(filereader.MemoryReader(comp), core.Config{Parallelism: 4, ChunkSize: 64 << 10})
+	src := filereader.MemoryReader(comp)
+	g, err := core.NewGzip(src, core.Config{ChunkSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	size, err := r.Size()
+	eng, err := g.NewEngine(filereader.NewShared(src), spanengine.Config{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := New(r, size)
+	defer eng.Close()
+	size, err := eng.TotalSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys, err := New(eng, size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -34,8 +36,12 @@ func TestDecodeRealMultiFrame(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("serial decode mismatch")
 	}
-	got, err = DecompressParallel(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got = make([]byte, len(want))
+	if _, err := r.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -170,30 +176,34 @@ func TestSkippableFrames(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("decode mismatch around skippable frames")
 	}
-	r, err := NewReader(comp, 2)
+	r, err := newEngine(comp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumSkippable() != 2 {
-		t.Fatalf("NumSkippable = %d", r.NumSkippable())
+	if r.NumSpans() != 4 {
+		t.Fatalf("engine has %d spans, want the 4 data frames", r.NumSpans())
+	}
+	got = make([]byte, len(data))
+	if _, err := r.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("engine decode around skippable frames: err=%v", err)
 	}
 }
 
 func TestReaderRandomAccess(t *testing.T) {
 	data := workloads.FASTQ(1<<20, 21)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 64 << 10, ContentChecksum: true})
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Sized() || !r.Checksummed() {
-		t.Fatalf("Sized=%v Checksummed=%v; want both", r.Sized(), r.Checksummed())
+	if !(r.Flags()&FlagMetadataSized != 0) || !(r.Flags()&FlagChecksummed != 0) {
+		t.Fatalf("Sized=%v Checksummed=%v; want both", (r.Flags()&FlagMetadataSized != 0), (r.Flags()&FlagChecksummed != 0))
 	}
 	if r.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d, want %d", r.Size(), len(data))
 	}
-	if r.NumFrames() != 16 {
-		t.Fatalf("NumFrames = %d, want 16", r.NumFrames())
+	if r.NumSpans() != 16 {
+		t.Fatalf("NumFrames = %d, want 16", r.NumSpans())
 	}
 	offsets := []int64{0, 1, 65535, 65536, 65537, 500000, int64(len(data)) - 100}
 	for _, off := range offsets {
@@ -209,12 +219,12 @@ func TestReaderRandomAccess(t *testing.T) {
 	}
 	// chunk table covers the stream contiguously
 	var pos int64
-	for i := 0; i < r.NumChunks(); i++ {
-		off, size := r.ChunkExtent(i)
+	for i := 0; i < r.NumSpans(); i++ {
+		off, size := r.SpanExtent(i)
 		if off != pos {
 			t.Fatalf("chunk %d starts at %d, want %d", i, off, pos)
 		}
-		content, err := r.ChunkContent(i)
+		content, err := r.SpanContent(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +241,7 @@ func TestReaderRandomAccess(t *testing.T) {
 func TestReaderConcurrentReadAt(t *testing.T) {
 	data := workloads.Base64(512<<10, 13)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 32 << 10})
-	r, err := NewReader(comp, 4)
+	r, err := newEngine(comp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +271,11 @@ func TestReaderConcurrentReadAt(t *testing.T) {
 func TestReaderUnsizedFrames(t *testing.T) {
 	data := workloads.Base64(300<<10, 19)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 100 << 10, OmitContentSize: true})
-	r, err := NewReader(comp, 2)
+	r, err := newEngine(comp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Sized() {
+	if r.Flags()&FlagMetadataSized != 0 {
 		t.Fatal("OmitContentSize frames reported as sized")
 	}
 	if r.Size() != int64(len(data)) {
@@ -278,20 +288,6 @@ func TestReaderUnsizedFrames(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[off:off+4096]) {
 		t.Fatal("ReadAt mismatch on unsized file")
-	}
-}
-
-func TestDecompressParallelMatchesSerial(t *testing.T) {
-	data := workloads.FASTQ(2<<20, 3)
-	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 128 << 10, ContentChecksum: true})
-	for _, threads := range []int{1, 2, 4, 8} {
-		got, err := DecompressParallel(comp, threads)
-		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("threads=%d: mismatch", threads)
-		}
 	}
 }
 
@@ -345,17 +341,8 @@ func TestErrNotZstd(t *testing.T) {
 	}
 }
 
-func BenchmarkDecompressParallelBase64(b *testing.B) {
-	data := workloads.Base64(8<<20, 42)
-	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 1 << 20, ContentChecksum: true})
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("P%d", threads), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := DecompressParallel(comp, threads); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// newEngine serves comp through the shared span engine with this
+// package's codec — the path every archive of this format takes.
+func newEngine(comp []byte, threads int) (*spanengine.Engine, error) {
+	return spanengine.New(filereader.MemoryReader(comp), Codec{}, spanengine.Config{Threads: threads})
 }

@@ -91,9 +91,9 @@ func TestSharedPoolAcrossArchives(t *testing.T) {
 }
 
 // TestSharedPoolSurvivesImportIndex pins a subtle plumbing property:
-// ImportIndex rebuilds a span archive's backend, and the rebuilt
-// engine must still cache into the shared pool (the archive retains
-// its full open configuration, not just the legacy Options).
+// ImportIndex builds a new engine, and that engine must still cache
+// into the shared pool (the archive retains its full open
+// configuration).
 func TestSharedPoolSurvivesImportIndex(t *testing.T) {
 	data := workloads.Base64(200_000, 5)
 	comp := spanFixtures(t, data)[FormatLZ4]

@@ -30,7 +30,7 @@ func TestOpenAndCopy(t *testing.T) {
 	if err := os.WriteFile(path, gzipBytes(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenOptions(path, Options{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
+	r, err := Open(path, WithParallelism(4), WithChunkSize(64<<10), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOpenAndCopy(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatalf("mismatch: %d vs %d bytes", out.Len(), len(data))
 	}
-	if ok, fails := r.CRCVerified(); !ok || fails > 0 {
+	if ok, fails := r.(*archive).CRCVerified(); !ok || fails > 0 {
 		t.Fatalf("CRC: ok=%v fails=%d", ok, fails)
 	}
 	if s := r.Stats(); s.ChunksConsumed == 0 {
@@ -50,16 +50,15 @@ func TestOpenAndCopy(t *testing.T) {
 	}
 }
 
+// TestNewReaderFromFile reads a file-backed gzip archive through Read
+// rather than WriteTo.
 func TestNewReaderFromFile(t *testing.T) {
 	data := workloads.FASTQ(400_000, 2)
 	path := filepath.Join(t.TempDir(), "reads.fastq.gz")
-	os.WriteFile(path, gzipBytes(t, data), 0o644)
-	f, err := os.Open(path)
-	if err != nil {
+	if err := os.WriteFile(path, gzipBytes(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r, err := NewReader(f, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r, err := Open(path, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestNewReaderFromFile(t *testing.T) {
 
 func TestSeekReadAt(t *testing.T) {
 	data := workloads.SilesiaLike(800_000, 3)
-	r, err := NewBytesReader(gzipBytes(t, data), Options{Parallelism: 3, ChunkSize: 32 << 10})
+	r, err := OpenBytes(gzipBytes(t, data), WithParallelism(3), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestIndexRoundTripPublicAPI(t *testing.T) {
 	data := workloads.Base64(600_000, 4)
 	comp := gzipBytes(t, data)
 
-	r1, err := NewBytesReader(comp, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r1, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestIndexRoundTripPublicAPI(t *testing.T) {
 	}
 	r1.Close()
 
-	r2, err := NewBytesReader(comp, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r2, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestOpenWithIndex(t *testing.T) {
 	}
 
 	// First run: decompress once, save the index.
-	r1, err := OpenOptions(path, Options{Parallelism: 4, ChunkSize: 64 << 10})
+	r1, err := Open(path, WithParallelism(4), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestOpenWithIndex(t *testing.T) {
 
 	// Second run: reopen with the saved index; no block-finder probes,
 	// no speculative decodes, byte-identical output.
-	r2, err := OpenWithIndex(path, ixPath, Options{Parallelism: 4, ChunkSize: 64 << 10})
+	r2, err := Open(path, WithIndexFile(ixPath), WithParallelism(4), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestOpenWithIndex(t *testing.T) {
 	}
 
 	// ReadAt without any prior sequential read, straight off the index.
-	r3, err := OpenWithIndex(path, ixPath, Options{Parallelism: 2, ChunkSize: 64 << 10})
+	r3, err := Open(path, WithIndexFile(ixPath), WithParallelism(2), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,28 +197,25 @@ func TestOpenWithIndex(t *testing.T) {
 	// A wrong index file must be rejected at open time.
 	other := filepath.Join(dir, "other.gz")
 	os.WriteFile(other, gzipBytes(t, workloads.Base64(100_000, 42)), 0o644)
-	if _, err := OpenWithIndex(other, ixPath, Options{}); err == nil {
+	if _, err := Open(other, WithIndexFile(ixPath)); err == nil {
 		t.Fatal("index for a different file accepted")
 	}
-	if _, err := OpenWithIndex(path, other, Options{}); err == nil {
+	if _, err := Open(path, WithIndexFile(other)); err == nil {
 		t.Fatal("gzip file accepted as an index")
 	}
-	if _, err := OpenWithIndex(path, filepath.Join(dir, "missing"), Options{}); err == nil {
+	if _, err := Open(path, WithIndexFile(filepath.Join(dir, "missing"))); err == nil {
 		t.Fatal("missing index file accepted")
 	}
 }
 
-func TestNewReaderWithIndex(t *testing.T) {
+// TestImportIndexConsumesExactBytes: Archive.ImportIndex reads exactly
+// the index bytes from its reader, so an index embedded in a larger
+// stream leaves the data after it unread; a truncated index fails the
+// import and leaves the archive serving from its previous engine.
+func TestImportIndexConsumesExactBytes(t *testing.T) {
 	data := workloads.FASTQ(500_000, 43)
-	path := filepath.Join(t.TempDir(), "reads.fastq.gz")
-	os.WriteFile(path, gzipBytes(t, data), 0o644)
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r1, err := NewReader(f, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	comp := gzipBytes(t, data)
+	r1, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +225,23 @@ func TestNewReaderWithIndex(t *testing.T) {
 	}
 	r1.Close()
 
-	r2, err := NewReaderWithIndex(f, bytes.NewReader(ix.Bytes()), Options{Parallelism: 3, ChunkSize: 32 << 10})
+	r2, err := OpenBytes(comp, WithParallelism(3), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
+	if err := r2.ImportIndex(bytes.NewReader(ix.Bytes()[:ix.Len()/2])); err == nil {
+		t.Fatal("truncated index accepted")
+	}
+	stream := append(bytes.Clone(ix.Bytes()), []byte("TRAILER AFTER THE INDEX")...)
+	sr := bytes.NewReader(stream)
+	if err := r2.ImportIndex(sr); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(sr)
+	if err != nil || string(rest) != "TRAILER AFTER THE INDEX" {
+		t.Fatalf("import over-consumed the stream: %d bytes left (%q)", len(rest), rest)
+	}
 	got, err := io.ReadAll(r2)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("mismatch (err=%v)", err)
@@ -241,32 +249,13 @@ func TestNewReaderWithIndex(t *testing.T) {
 	if s := r2.Stats(); s.FinderProbes != 0 {
 		t.Fatalf("import path probed the block finder %d times", s.FinderProbes)
 	}
-
-	// Truncated index bytes must fail the constructor, not poison reads.
-	if _, err := NewReaderWithIndex(f, bytes.NewReader(ix.Bytes()[:ix.Len()/2]), Options{}); err == nil {
-		t.Fatal("truncated index accepted")
-	}
-
-	// The import must consume exactly the index bytes: an index
-	// embedded in a larger stream leaves the following data unread.
-	stream := append(bytes.Clone(ix.Bytes()), []byte("TRAILER AFTER THE INDEX")...)
-	sr := bytes.NewReader(stream)
-	r3, err := NewReaderWithIndex(f, sr, Options{Parallelism: 2, ChunkSize: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r3.Close()
-	rest, err := io.ReadAll(sr)
-	if err != nil || string(rest) != "TRAILER AFTER THE INDEX" {
-		t.Fatalf("import over-consumed the stream: %d bytes left (%q)", len(rest), rest)
-	}
 }
 
 func TestStrategyNames(t *testing.T) {
 	data := workloads.Base64(300_000, 5)
 	comp := gzipBytes(t, data)
 	for _, s := range []string{"", "adaptive", "fixed", "multistream"} {
-		r, err := NewBytesReader(comp, Options{Parallelism: 2, ChunkSize: 32 << 10, Strategy: s})
+		r, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10), WithStrategy(s))
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
@@ -293,12 +282,12 @@ func TestTarFS(t *testing.T) {
 	// The ratarmount scenario through the public API: list and read
 	// members of a .tar.gz via io/fs.
 	tarball := workloads.SilesiaLike(2<<20, 6) // a real TAR by construction
-	r, err := NewBytesReader(gzipBytes(t, tarball), Options{Parallelism: 3, ChunkSize: 64 << 10})
+	r, err := OpenBytes(gzipBytes(t, tarball), WithParallelism(3), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	fsys, err := r.TarFS()
+	fsys, err := TarFS(r)
 	if err != nil {
 		t.Fatal(err)
 	}

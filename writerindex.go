@@ -37,8 +37,8 @@ func (w *writer) buildIndex() (*gzindex.Index, error) {
 // member-start point at bit 0 (decoded by header parsing, no window
 // needed), one point per subsequent shard boundary — byte-aligned by
 // construction, and carrying an *empty* window because shards reset
-// the dictionary, so the stdlib-delegation fast path decodes them with
-// no priming bytes at all — and the member's end mark with the
+// the dictionary, so indexed decodes need no priming bytes at all —
+// and the member's end mark with the
 // combined CRC32, which keeps architecture-level verification alive
 // after reopen.
 func (w *writer) fillGzipIndex(ix *gzindex.Index) error {
