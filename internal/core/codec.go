@@ -192,10 +192,13 @@ func (c *gzipCodec) decodeMeta(m spanMeta, window []byte) (res *deflate.ChunkRes
 	if m.endIsEOF || byteEnd > fileSize {
 		byteEnd = fileSize
 	}
-	buf := make([]byte, byteEnd-byteStart)
-	if n, rerr := c.src.ReadAt(buf, byteStart); rerr != nil && n < len(buf) {
-		return nil, rerr
+	// The result never aliases buf (the decoder copies every output
+	// byte), so the extent goes back to the scratch pool on return.
+	buf, release, err := filereader.Extent(c.src, byteStart, byteEnd)
+	if err != nil {
+		return nil, err
 	}
+	defer release()
 	relStart := m.startBit - uint64(byteStart)*8
 	relEnd := m.endBit - uint64(byteStart)*8
 
@@ -440,6 +443,11 @@ func (c *gzipCodec) Speculate(e *spanengine.Engine, cand uint64) {
 	if n := uint64(len(c.metas)); cand > n {
 		gap = cand - n
 	}
+	// Candidate n+gap maps to cell frontier+1+gap, so candidate n+1
+	// lands on frontier+2. That is on purpose: the consumer decodes the
+	// frontier cell and the next one single-stage. Remapping candidate
+	// n+1 to frontier+1 measured slower in 8 of 8 in-process pairs at
+	// P=2 on 2 vCPUs.
 	g := c.frontierBit/cb + 1 + gap
 	if g*cb >= c.fileBits || c.guessIssued[g] || c.noBlock[g] ||
 		c.inflightGuess[g] != nil || len(c.inflightGuess) >= c.maxPrefetch {
@@ -518,10 +526,12 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 	if bufEnd > int64(c.fileBits/8) {
 		bufEnd = int64(c.fileBits / 8)
 	}
-	buf := make([]byte, bufEnd-bufStart)
-	if n, err := c.src.ReadAt(buf, bufStart); err != nil && n < len(buf) {
+	// Only the block finder reads buf; the decodes read c.src.
+	buf, release, err := filereader.Extent(c.src, bufStart, bufEnd)
+	if err != nil {
 		return nil, err
 	}
+	defer release()
 	finder := blockfinder.NewCombinedFinder()
 	br := bitio.NewBitReader(c.src, int64(c.fileBits/8))
 	var dec deflate.Decoder

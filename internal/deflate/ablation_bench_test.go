@@ -7,6 +7,7 @@ package deflate_test
 // path every indexed chunk decode takes.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitio"
@@ -15,14 +16,15 @@ import (
 	"repro/internal/workloads"
 )
 
-func chunkFixture(b *testing.B) (comp []byte, start, end gzipw.BlockOffset, window []byte, size int) {
-	b.Helper()
-	data := workloads.SilesiaLike(8<<20, 17)
+// chunkFixture compresses data like gzip -6 with 64 KiB blocks and
+// picks a ~2 MiB chunk that starts at the first non-final block at or
+// after 2 MiB, as a speculative worker would decode it.
+func chunkFixture(tb testing.TB, data []byte) (comp []byte, start, end gzipw.BlockOffset, window []byte, size int) {
+	tb.Helper()
 	comp, meta, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 64 << 10})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// A ~2 MiB chunk starting mid-file.
 	for _, bo := range meta.Blocks {
 		if bo.Decomp >= 2<<20 && !bo.Final && start.Bit == 0 {
 			start = bo
@@ -33,16 +35,61 @@ func chunkFixture(b *testing.B) (comp []byte, start, end gzipw.BlockOffset, wind
 		}
 	}
 	if start.Bit == 0 || end.Bit == 0 {
-		b.Fatal("no suitable chunk found")
+		tb.Fatal("no suitable chunk found")
 	}
 	window = data[start.Decomp-deflate.WindowSize : start.Decomp]
 	size = int(end.Decomp - start.Decomp)
 	return comp, start, end, window, size
 }
 
+// TestTwoStageFallbackPoint pins where two-stage decoding switches to
+// single-stage (paper §3.3) on the three data shapes of the paper's
+// evaluation, so that kernel work cannot move the fallback point
+// silently: SilesiaLike and FASTQ keep markers alive through the whole
+// 2 MiB chunk, while Base64 falls back once 32 KiB of output are free
+// of markers, at the next block boundary.
+func TestTwoStageFallbackPoint(t *testing.T) {
+	cases := []struct {
+		name       string
+		data       func(n int, seed uint64) []byte
+		wantMarked int
+	}{
+		{"Base64", workloads.Base64, 64 << 10},
+		{"SilesiaLike", workloads.SilesiaLike, 2 << 20},
+		{"FASTQ", workloads.FASTQ, 2 << 20},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && c.name != "Base64" {
+				t.Skip("compressing 8 MiB per shape is slow under -race; Base64 pins the fallback itself")
+			}
+			data := c.data(8<<20, 17)
+			comp, start, end, window, size := chunkFixture(t, data)
+			var dec deflate.Decoder
+			cr, err := dec.DecodeChunk(bitio.NewBitReaderBytes(comp), deflate.ChunkConfig{
+				Start: start.Bit, Stop: end.Bit, TwoStage: true, SizeHint: size,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cr.Marked) != c.wantMarked {
+				t.Errorf("marked segment %d symbols of %d, want %d", len(cr.Marked), cr.TotalOut(), c.wantMarked)
+			}
+			segs, err := cr.Resolved(window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytes.Join(segs, nil); !bytes.Equal(got, data[start.Decomp:end.Decomp]) {
+				t.Fatal("resolved output differs from the input")
+			}
+		})
+	}
+}
+
 func BenchmarkChunkDecodeTwoStage(b *testing.B) {
-	comp, start, end, window, size := chunkFixture(b)
+	comp, start, end, window, size := chunkFixture(b, workloads.SilesiaLike(8<<20, 17))
 	b.SetBytes(int64(size))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var dec deflate.Decoder
@@ -60,8 +107,9 @@ func BenchmarkChunkDecodeTwoStage(b *testing.B) {
 }
 
 func BenchmarkChunkDecodeSingleStage(b *testing.B) {
-	comp, start, end, window, size := chunkFixture(b)
+	comp, start, end, window, size := chunkFixture(b, workloads.SilesiaLike(8<<20, 17))
 	b.SetBytes(int64(size))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var dec deflate.Decoder

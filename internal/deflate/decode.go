@@ -311,7 +311,7 @@ func (d *Decoder) copyStored(st *chunkState, length int) error {
 	br := d.br
 	if !st.marked {
 		p := len(st.out8)
-		st.out8 = growBytes(st.out8, length)
+		st.out8 = grow(st.out8, length)
 		return br.ReadFull(st.out8[p : p+length])
 	}
 	if cap(st.scratch) < 65536 {
@@ -322,7 +322,7 @@ func (d *Decoder) copyStored(st *chunkState, length int) error {
 		return err
 	}
 	p := len(st.out16)
-	st.out16 = growU16(st.out16, length)
+	st.out16 = grow(st.out16, length)
 	out := st.out16[p:]
 	for i, b := range buf {
 		out[i] = uint16(b)
@@ -469,6 +469,13 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 
 // emitMarkedMatch bounds-checks and appends one back-reference in
 // marked mode, tracking the newest copied or generated marker.
+//
+// The copy itself is bulk (appendCopyWithin); lastMarker stays exact
+// without a per-symbol test because markers can only be copied when the
+// newest one lies at or after the source start: only then is the
+// copied run scanned backwards for its newest marker. canFallback
+// depends on that exactness to switch to single-stage decoding at the
+// earliest block boundary.
 func emitMarkedMatch(st *chunkState, out []uint16, lastMarker int64, dist, length int) ([]uint16, int64, error) {
 	p := len(out)
 	if int64(p)-int64(dist) < st.histStart {
@@ -477,33 +484,31 @@ func emitMarkedMatch(st *chunkState, out []uint16, lastMarker int64, dist, lengt
 	if p+length > st.maxOut {
 		return out, lastMarker, ErrOutputLimit
 	}
-	if dist <= p {
-		src := p - dist
-		out = growU16(out, length)
-		dst := out[p : p+length]
-		// Forward element order keeps the self-overlapping (dist <
-		// length) case correct: later reads see earlier writes.
-		for i := range dst {
-			v := out[src+i]
-			if v >= MarkerBase {
-				lastMarker = int64(p + i)
-			}
-			dst[i] = v
+	if dist > p {
+		// The first dist-p symbols reach into the unknown initial
+		// window: emit their (consecutive) markers. The rest copies
+		// from the start of the chunk's own output.
+		k := min(length, dist-p)
+		out = grow(out, k)
+		m := uint16(MarkerBase + WindowSize - (dist - p))
+		for i := p; i < p+k; i++ {
+			out[i] = m
+			m++
 		}
-		return out, lastMarker, nil
+		lastMarker = int64(p + k - 1)
+		if k == length {
+			return out, lastMarker, nil
+		}
+		p += k
+		length -= k
 	}
-	for k := 0; k < length; k++ {
-		pp := len(out)
-		if dist <= pp {
-			v := out[pp-dist]
-			if v >= MarkerBase {
-				lastMarker = int64(pp)
+	out = appendCopyWithin(out, dist, length)
+	if lastMarker >= int64(p-dist) {
+		for i := p + length - 1; i >= p; i-- {
+			if out[i] >= MarkerBase {
+				lastMarker = int64(i)
+				break
 			}
-			out = append(out, v)
-		} else {
-			off := WindowSize - (dist - pp)
-			lastMarker = int64(pp)
-			out = append(out, uint16(MarkerBase+off))
 		}
 	}
 	return out, lastMarker, nil
@@ -746,14 +751,15 @@ func (st *chunkState) historyByte(k int) (byte, bool) {
 	return 0, false
 }
 
-// appendCopyWithin appends length bytes copied from dist back within
+// appendCopyWithin appends length symbols copied from dist back within
 // out, handling the overlapping (run-generating) case. Non-overlapping
-// copies are a single memmove; overlapping ones replicate the dist-byte
-// pattern with doubling memmoves — O(log(length/dist)) wide copies
-// instead of a byte loop, which also covers dist < 8 safely.
-func appendCopyWithin(out []byte, dist, length int) []byte {
+// copies are a single memmove; overlapping ones replicate the
+// dist-symbol pattern with doubling memmoves — O(log(length/dist))
+// wide copies instead of an element loop, which also covers dist < 8
+// safely. Raw bytes and marked 16-bit symbols share it.
+func appendCopyWithin[T byte | uint16](out []T, dist, length int) []T {
 	p := len(out)
-	out = growBytes(out, length)
+	out = grow(out, length)
 	dst := out[p : p+length]
 	src := p - dist
 	if dist >= length {
@@ -767,7 +773,9 @@ func appendCopyWithin(out []byte, dist, length int) []byte {
 	return out
 }
 
-func growBytes(s []byte, n int) []byte {
+// grow extends s by n elements, at least doubling the capacity when it
+// has to reallocate.
+func grow[T byte | uint16](s []T, n int) []T {
 	need := len(s) + n
 	if need <= cap(s) {
 		return s[:need]
@@ -779,24 +787,7 @@ func growBytes(s []byte, n int) []byte {
 	if c < 1024 {
 		c = 1024
 	}
-	ns := make([]byte, need, c)
-	copy(ns, s)
-	return ns
-}
-
-func growU16(s []uint16, n int) []uint16 {
-	need := len(s) + n
-	if need <= cap(s) {
-		return s[:need]
-	}
-	c := 2 * cap(s)
-	if c < need {
-		c = need
-	}
-	if c < 1024 {
-		c = 1024
-	}
-	ns := make([]uint16, need, c)
+	ns := make([]T, need, c)
 	copy(ns, s)
 	return ns
 }

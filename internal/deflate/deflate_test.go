@@ -308,23 +308,11 @@ func TestResolveMarkers(t *testing.T) {
 	}
 }
 
-func TestTailSymbolsAndWindowAt(t *testing.T) {
+func TestWindowAt(t *testing.T) {
 	cr := &ChunkResult{
 		Marked: []uint16{10, 11, MarkerBase + 5, 13},
 		Raw:    []byte{20, 21, 22},
 	}
-	tail := cr.TailSymbols(cr.TotalOut(), 5)
-	want := []uint16{MarkerBase + 5, 13, 20, 21, 22}
-	for i := range want {
-		if tail[i] != want[i] {
-			t.Fatalf("tail = %v want %v", tail, want)
-		}
-	}
-	tail = cr.TailSymbols(3, 2)
-	if tail[0] != 11 || tail[1] != MarkerBase+5 {
-		t.Fatalf("tail(3,2) = %v", tail)
-	}
-
 	window := make([]byte, WindowSize)
 	window[WindowSize-1] = 99
 	window[5] = 55
@@ -343,6 +331,46 @@ func TestTailSymbolsAndWindowAt(t *testing.T) {
 	// Preceding bytes come from the previous window.
 	if win[WindowSize-8] != 99 {
 		t.Fatal("window prefix not taken from previous window")
+	}
+
+	// Against the definition: the last 32 KiB of the previous window
+	// followed by the resolved output up to end, for ends inside and at
+	// the edges of both segments and previous windows of every length.
+	rng := rand.New(rand.NewSource(4))
+	prev := make([]byte, WindowSize)
+	rng.Read(prev)
+	for _, wlen := range []int{WindowSize, 100, 0} {
+		pw := prev[WindowSize-wlen:]
+		for _, sizes := range [][2]int{{3 * WindowSize, WindowSize + 7}, {1000, 40}, {0, 3 * WindowSize}, {50_000, 0}} {
+			cr := &ChunkResult{Marked: make([]uint16, sizes[0]), Raw: make([]byte, sizes[1])}
+			for i := range cr.Marked {
+				cr.Marked[i] = uint16(rng.Intn(256))
+				if wlen > 0 && rng.Intn(3) == 0 {
+					cr.Marked[i] = MarkerBase + WindowSize - 1 - uint16(rng.Intn(wlen))
+				}
+			}
+			rng.Read(cr.Raw)
+			segs, err := cr.Resolved(pw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := append(append([]byte(nil), pw...), bytes.Join(segs, nil)...)
+			m, total := sizes[0], sizes[0]+sizes[1]
+			for _, end := range []int{0, 1, 77, WindowSize - 1, WindowSize, WindowSize + 1, m - 1, m, m + 1, total - 1, total, total + 5} {
+				if end < 0 {
+					continue
+				}
+				got, err := cr.WindowAt(uint64(end), pw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				upto := full[:wlen+min(end, total)]
+				want := upto[len(upto)-min(len(upto), WindowSize):]
+				if !bytes.Equal(got, want) {
+					t.Fatalf("window %d, segments %v, end %d: got %d bytes, want %d", wlen, sizes, end, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 
@@ -467,24 +495,33 @@ func BenchmarkTwoStageDecode(b *testing.B) {
 }
 
 func BenchmarkMarkerReplacement(b *testing.B) {
-	// Table 2 "Marker replacement" row.
-	rng := rand.New(rand.NewSource(9))
-	src := make([]uint16, 8<<20)
-	for i := range src {
-		if rng.Intn(10) == 0 {
-			src[i] = MarkerBase + uint16(rng.Intn(WindowSize))
-		} else {
-			src[i] = uint16(rng.Intn(256))
-		}
-	}
-	window := make([]byte, WindowSize)
-	rng.Read(window)
-	dst := make([]byte, len(src))
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ResolveMarkers(dst, src, window); err != nil {
-			b.Fatal(err)
-		}
+	// Table 2 "Marker replacement" row. The sparse case has one marker
+	// in ten symbols; in the dense one every symbol is a marker or a
+	// literal at random, as in the fully marked chunks of SilesiaLike.
+	for _, c := range []struct {
+		name    string
+		markers int // out of 10
+	}{{"sparse", 1}, {"dense", 5}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			src := make([]uint16, 8<<20)
+			for i := range src {
+				if rng.Intn(10) < c.markers {
+					src[i] = MarkerBase + uint16(rng.Intn(WindowSize))
+				} else {
+					src[i] = uint16(rng.Intn(256))
+				}
+			}
+			window := make([]byte, WindowSize)
+			rng.Read(window)
+			dst := make([]byte, len(src))
+			b.SetBytes(int64(len(src)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ResolveMarkers(dst, src, window); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

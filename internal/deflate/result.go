@@ -14,127 +14,72 @@ var ErrBadMarker = errors.New("deflate: marker outside window")
 //
 // dst must have length len(src). A window shorter than 32 KiB (chunk
 // near the start of the stream) is aligned to the *end* of the virtual
-// 32 KiB window, matching how markers were assigned.
+// 32 KiB window, matching how markers were assigned; of a longer one
+// only the last 32 KiB count.
 func ResolveMarkers(dst []byte, src []uint16, window []byte) error {
-	shift := WindowSize - len(window)
-	// Literal runs dominate (markers can only reference the first
-	// 32 KiB of the chunk), so resolve four symbols per iteration:
-	// MarkerBase is a power of two, making one OR-compare a "no marker
-	// among these four" test.
-	i := 0
-	for ; i+4 <= len(src) && i+4 <= len(dst); i += 4 {
-		v0, v1, v2, v3 := src[i], src[i+1], src[i+2], src[i+3]
-		if v0|v1|v2|v3 < MarkerBase {
-			dst[i] = byte(v0)
-			dst[i+1] = byte(v1)
-			dst[i+2] = byte(v2)
-			dst[i+3] = byte(v3)
-			continue
-		}
-		for k, v := range [4]uint16{v0, v1, v2, v3} {
-			if v < MarkerBase {
-				dst[i+k] = byte(v)
-				continue
-			}
-			idx := int(v-MarkerBase) - shift
-			if idx < 0 || idx >= len(window) {
-				return ErrBadMarker
-			}
-			dst[i+k] = window[idx]
-		}
+	// Every symbol costs one table load and one store, whether literal
+	// or marker: literals map to themselves, marker MarkerBase+i to its
+	// window byte, and markers before a short window to badMarker,
+	// whose bit is OR-accumulated and tested once at the end.
+	const badMarker = 1 << 8
+	var lut [MarkerBase + WindowSize]uint16
+	for i := range MarkerBase {
+		lut[i] = uint16(i)
 	}
-	for ; i < len(src); i++ {
-		v := src[i]
-		if v < MarkerBase {
-			dst[i] = byte(v)
-			continue
-		}
-		idx := int(v-MarkerBase) - shift
-		if idx < 0 || idx >= len(window) {
+	if len(window) > WindowSize {
+		window = window[len(window)-WindowSize:]
+	}
+	marks := lut[MarkerBase:]
+	shift := WindowSize - len(window)
+	for i := range shift {
+		marks[i] = badMarker
+	}
+	for i, b := range window {
+		marks[shift+i] = uint16(b)
+	}
+
+	dst = dst[:len(src)]
+	var acc uint16
+	for i, v := range src {
+		if int(v) >= len(lut) {
 			return ErrBadMarker
 		}
-		dst[i] = window[idx]
+		r := lut[v]
+		acc |= r
+		dst[i] = byte(r)
+	}
+	if acc&badMarker != 0 {
+		return ErrBadMarker
 	}
 	return nil
 }
 
-// ResolveSymbols resolves a []uint16 tail in place against window,
-// producing bytes. Used for the cheap serial window propagation between
-// chunks (paper §2.2: only the last 32 KiB must be propagated serially).
-func ResolveSymbols(src []uint16, window []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if err := ResolveMarkers(dst, src, window); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// HasMarkers reports whether any symbol in src is a marker.
-func HasMarkers(src []uint16) bool {
-	for _, v := range src {
-		if v >= MarkerBase {
-			return true
-		}
-	}
-	return false
-}
-
-// TailSymbols returns the last n output symbols of the chunk ending at
-// decompressed offset end (end <= TotalOut). Raw bytes are widened to
-// uint16. It allocates at most n entries.
-func (cr *ChunkResult) TailSymbols(end uint64, n int) []uint16 {
-	if end > cr.TotalOut() {
-		end = cr.TotalOut()
-	}
-	if uint64(n) > end {
-		n = int(end)
-	}
-	out := make([]uint16, n)
-	pos := n
-	// Fill from the raw segment first (it is the later segment).
-	rawEnd := int64(end) - int64(len(cr.Marked))
-	if rawEnd > 0 {
-		take := int64(pos)
-		if take > rawEnd {
-			take = rawEnd
-		}
-		for i := int64(0); i < take; i++ {
-			pos--
-			out[pos] = uint16(cr.Raw[rawEnd-1-i])
-		}
-	}
-	mEnd := int64(end)
-	if m := int64(len(cr.Marked)); mEnd > m {
-		mEnd = m
-	}
-	for i := int64(0); i < int64(pos); i++ {
-		out[int64(pos)-1-i] = cr.Marked[mEnd-1-i]
-	}
-	return out
-}
-
 // WindowAt computes the resolved 32 KiB window for the position end
 // within this chunk, given the resolved window that preceded the chunk.
-// It resolves at most 32 Ki symbols, so it is cheap enough to run
-// serially while full marker replacement happens in parallel.
+// It resolves at most 32 Ki symbols, straight into the window, so it is
+// cheap enough to run serially while full marker replacement happens in
+// parallel (paper §2.2: only the last 32 KiB must be propagated
+// serially).
 func (cr *ChunkResult) WindowAt(end uint64, prevWindow []byte) ([]byte, error) {
-	tail := cr.TailSymbols(end, WindowSize)
-	resolved, err := ResolveSymbols(tail, prevWindow)
-	if err != nil {
-		return nil, err
+	end = min(end, cr.TotalOut())
+	n := int(min(end, WindowSize))
+	// The chunk produced fewer than 32 KiB up to end: the rest comes
+	// from the previous window.
+	keep := min(WindowSize-n, len(prevWindow))
+	win := make([]byte, keep+n)
+	copy(win, prevWindow[len(prevWindow)-keep:])
+	out := win[keep:]
+	pos, m := int(end)-n, len(cr.Marked)
+	if pos < m {
+		mEnd := min(int(end), m)
+		if err := ResolveMarkers(out[:mEnd-pos], cr.Marked[pos:mEnd], prevWindow); err != nil {
+			return nil, err
+		}
+		out, pos = out[mEnd-pos:], mEnd
 	}
-	if len(resolved) >= WindowSize {
-		return resolved, nil
+	if len(out) > 0 {
+		copy(out, cr.Raw[pos-m:])
 	}
-	// The chunk produced fewer than 32 KiB up to end; prepend from the
-	// previous window.
-	need := WindowSize - len(resolved)
-	if need > len(prevWindow) {
-		need = len(prevWindow)
-	}
-	win := make([]byte, 0, need+len(resolved))
-	win = append(win, prevWindow[len(prevWindow)-need:]...)
-	win = append(win, resolved...)
 	return win, nil
 }
 
